@@ -17,10 +17,15 @@ left tensor by projecting onto the kept right singular vectors. The
 pure ``gamma`` tensors are available through :attr:`MpsState.gammas`.
 
 Two-qubit gates on non-adjacent qubits are routed to adjacency with
-explicit swap gates and routed back, so the only entangling primitive
-is the adjacent-pair SVD update. Truncation keeps at most ``chi_max``
-Schmidt coefficients, drops coefficients below ``discard_threshold``,
-and renormalizes the spectrum.
+swap steps and routed back, so the only entangling primitive is the
+adjacent-pair SVD update. A swap step, whether routing or an explicit
+``SWAP`` gate, is the same update with the gate replaced by a transpose
+of the pair's two physical indices. A gate whose first (high-bit)
+target lies to the right of its second is applied as the gate with its
+rows and columns permuted by ``[0, 2, 1, 3]``, which exchanges the two
+bits. Truncation keeps at most ``chi_max`` Schmidt coefficients, drops
+coefficients below ``discard_threshold``, and renormalizes the
+spectrum.
 """
 
 from __future__ import annotations
@@ -32,9 +37,8 @@ import numpy as np
 
 from .circuit import Circuit, Gate, cswap_gates
 
-_SWAP4 = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
+#: basis order (bit_a, bit_b) -> (bit_b, bit_a): reindexes a 4x4 gate for reversed targets
+_REVERSE = [0, 2, 1, 3]
 _UNITARY_TOL = 1e-12
 
 
@@ -159,19 +163,23 @@ def apply_1q(state: MpsState, u, q: int) -> MpsState:
     return state
 
 
-def _apply_2q_adjacent(state: MpsState, u4: np.ndarray, q: int, stats: GateStats | None):
-    """Gate on the adjacent pair (q, q+1); u4 rows indexed by (bit_q, bit_q+1)."""
+def _apply_2q_adjacent(state: MpsState, u4: np.ndarray | None, q: int, stats: GateStats | None):
+    """Gate on the adjacent pair (q, q+1); u4 rows indexed by (bit_q, bit_q+1).
+
+    ``u4=None`` swaps the two sites by transposing their physical indices.
+    """
     bl, br = state.tensors[q], state.tensors[q + 1]
     chi_l, chi_r = bl.shape[0], br.shape[2]
-    c = np.tensordot(bl, br, axes=(2, 0))  # (chi_l, i, j, chi_r)
-    cm = u4 @ c.transpose(1, 2, 0, 3).reshape(4, chi_l * chi_r)
-    c = np.ascontiguousarray(
-        cm.reshape(2, 2, chi_l, chi_r).transpose(2, 0, 1, 3)
-    )
-    lam_left = state.lambdas[q - 1] if q > 0 else None
-    theta = c if lam_left is None else c * lam_left[:, None, None, None]
-    um, s, vh = _svd(theta.reshape(2 * chi_l, 2 * chi_r))
-    del um
+    c = bl.reshape(2 * chi_l, -1) @ br.reshape(-1, 2 * chi_r)  # ((chi_l, i), (j, chi_r))
+    if u4 is None:
+        c = c.reshape(chi_l, 2, 2, chi_r).transpose(0, 2, 1, 3).reshape(2 * chi_l, 2 * chi_r)
+    else:
+        c = np.matmul(u4, c.reshape(chi_l, 4, chi_r)).reshape(2 * chi_l, 2 * chi_r)
+    if q > 0:
+        theta = (c.reshape(chi_l, -1) * state.lambdas[q - 1][:, None]).reshape(2 * chi_l, -1)
+    else:
+        theta = c
+    _, s, vh = _svd(theta)
     policy = state.policy
     keep = int(np.count_nonzero(s > policy.discard_threshold)) if policy.discard_threshold > 0 else int(np.count_nonzero(s > 0))
     if keep == 0:
@@ -180,15 +188,17 @@ def _apply_2q_adjacent(state: MpsState, u4: np.ndarray, q: int, stats: GateStats
             f"{policy.discard_threshold} at bond {q}"
         )
     keep = min(keep, policy.chi_max)
-    discarded = float((s[keep:] ** 2).sum())
-    s_kept = s[:keep]
-    nrm = float(np.linalg.norm(s_kept))
-    state.lambdas[q] = s_kept / nrm
-    vk = vh[:keep]
-    state.tensors[q + 1] = vk.reshape(keep, 2, chi_r)
-    state.tensors[q] = (
-        c.reshape(2 * chi_l, 2 * chi_r) @ vk.conj().T
-    ).reshape(chi_l, 2, keep) / nrm
+    discarded = 0.0
+    if keep < s.size:
+        tail = s[keep:]
+        discarded = float(tail @ tail)
+        s, vh = s[:keep], vh[:keep]
+    nrm = float(np.sqrt(s @ s))
+    state.lambdas[q] = s / nrm
+    state.tensors[q + 1] = vh.reshape(keep, 2, chi_r)
+    left = c @ vh.conj().T
+    left /= nrm
+    state.tensors[q] = left.reshape(chi_l, 2, keep)
     if stats is not None:
         stats.svd_count += 1
         if keep > stats.max_chi:
@@ -199,21 +209,22 @@ def _apply_2q_adjacent(state: MpsState, u4: np.ndarray, q: int, stats: GateStats
 
 def _apply_2q_routed(
     state: MpsState,
-    u4: np.ndarray,
+    u4: np.ndarray | None,
     q1: int,
     q2: int,
     stats: GateStats | None,
 ):
+    """Route (q1, q2) to adjacency with swaps, apply u4, and route back; u4=None is a SWAP."""
     lo, hi = (q1, q2) if q1 < q2 else (q2, q1)
-    if q1 > q2:
-        u4 = _SWAP4 @ u4 @ _SWAP4
+    if q1 > q2 and u4 is not None:
+        u4 = u4[_REVERSE][:, _REVERSE]
     for p in range(lo, hi - 1):
-        _apply_2q_adjacent(state, _SWAP4, p, stats)
+        _apply_2q_adjacent(state, None, p, stats)
         if stats is not None:
             stats.swap_count += 1
     _apply_2q_adjacent(state, u4, hi - 1, stats)
     for p in range(hi - 2, lo - 1, -1):
-        _apply_2q_adjacent(state, _SWAP4, p, stats)
+        _apply_2q_adjacent(state, None, p, stats)
         if stats is not None:
             stats.swap_count += 1
 
@@ -241,9 +252,10 @@ def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
     if gate.arity == 1:
         _apply_1q_raw(state, gate.full_matrix(), gate.targets[0])
         return
-    if gate.kind == "SWAP" and stats is not None:
+    u4 = None if gate.kind == "SWAP" else gate.full_matrix()
+    if u4 is None and stats is not None:
         stats.swap_count += 1
-    _apply_2q_routed(state, gate.full_matrix(), gate.targets[0], gate.targets[1], stats)
+    _apply_2q_routed(state, u4, gate.targets[0], gate.targets[1], stats)
 
 
 def run_circuit(state: MpsState, circ: Circuit, deadline: float | None = None) -> GateStats:
@@ -263,9 +275,10 @@ def run_circuit(state: MpsState, circ: Circuit, deadline: float | None = None) -
             )
         apply_gate(state, g, stats)
         stats.gate_count += 1
-        elems = state.element_count()
-        if elems > stats.peak_elements:
-            stats.peak_elements = elems
+        if g.arity > 1:  # 1-qubit gates never change tensor shapes
+            elems = state.element_count()
+            if elems > stats.peak_elements:
+                stats.peak_elements = elems
     return stats
 
 
@@ -318,9 +331,10 @@ def schmidt_number(state: MpsState) -> int:
 def sample(state: MpsState, qubits, shots: int, seed: int) -> dict[str, int]:
     """Draw `shots` bitstrings for the given qubits without mutating the state.
 
-    Whole-chain conditional sampling left to right; the requested
-    qubits are then read out of each full sample, which realizes the
-    exact marginal distribution.
+    Whole-chain conditional sampling left to right, all shots at once;
+    the requested qubits are then read out of each full sample, which
+    realizes the exact marginal distribution. Keys appear in order of
+    first occurrence.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -329,23 +343,24 @@ def sample(state: MpsState, qubits, shots: int, seed: int) -> dict[str, int]:
         raise ValueError("qubit index out of range")
     rng = np.random.default_rng(seed)
     randoms = rng.random((shots, state.n))
+    v = np.ones((shots, 1), dtype=complex)
+    digits = np.empty((shots, state.n), dtype=np.uint8)
+    for l in range(state.n):
+        b = state.tensors[l]
+        v0 = v @ b[:, 0, :]
+        p0 = (np.abs(v0) ** 2).sum(axis=1)
+        v1 = v @ b[:, 1, :]
+        p1 = (np.abs(v1) ** 2).sum(axis=1)
+        one = ~(randoms[:, l] * (p0 + p1) < p0)
+        digits[:, l] = one
+        # only the branch taken is normalized, so a zero-probability branch never divides
+        v = np.where(one[:, None], v1, v0) / np.sqrt(np.where(one, p1, p0))[:, None]
+    digits += ord("0")
+    width = len(qubits)
+    keys = digits[:, qubits].tobytes().decode("ascii")
     counts: dict[str, int] = {}
-    for shot in range(shots):
-        v = np.ones(1, dtype=complex)
-        bits = []
-        for l in range(state.n):
-            b = state.tensors[l]
-            v0 = v @ b[:, 0, :]
-            p0 = float((np.abs(v0) ** 2).sum())
-            v1 = v @ b[:, 1, :]
-            p1 = float((np.abs(v1) ** 2).sum())
-            if randoms[shot, l] * (p0 + p1) < p0:
-                bits.append("0")
-                v = v0 / np.sqrt(p0)
-            else:
-                bits.append("1")
-                v = v1 / np.sqrt(p1)
-        key = "".join(bits[q] for q in qubits)
+    for i in range(shots):
+        key = keys[i * width : (i + 1) * width]
         counts[key] = counts.get(key, 0) + 1
     return counts
 

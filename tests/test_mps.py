@@ -156,6 +156,17 @@ class TestRunCircuit:
         assert stats.swap_count == 5
         assert stats.svd_count == 6
 
+    @pytest.mark.parametrize(
+        "n, a, counts",
+        [(15, 4, (1101, 5172, 4400, 2, 100)), (33, 10, (2687, 18144, 16116, 2, 152))],
+    )
+    def test_preselected_step_counts(self, n, a, counts):
+        # gates, SVD steps, swaps, peak chi and peak elements of two pre-selected runs
+        circ = cir.shor_order_circuit(n, a)
+        stats = mps.run_circuit(mps.init_state(circ.width), circ)
+        got = (stats.gate_count, stats.svd_count, stats.swap_count, stats.max_chi, stats.peak_elements)
+        assert got == counts
+
 
 class TestAmplitude:
     def test_matches_dense_everywhere(self):

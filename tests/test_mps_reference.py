@@ -1,0 +1,270 @@
+"""The two-site update and the sampler against their earlier, plainer versions.
+
+The reference functions below are the previous bodies of
+`mps._apply_2q_adjacent` and `mps.sample`, kept as test oracles only.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from mpshor import circuit as cir
+from mpshor import mps
+from util import haar_unitary, random_circuit
+
+_SWAP4 = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+)
+TOL = 1e-12
+
+
+def reference_apply_2q_adjacent(state, u4, q, stats):
+    """Gate on the adjacent pair (q, q+1); u4 rows indexed by (bit_q, bit_q+1)."""
+    bl, br = state.tensors[q], state.tensors[q + 1]
+    chi_l, chi_r = bl.shape[0], br.shape[2]
+    c = np.tensordot(bl, br, axes=(2, 0))  # (chi_l, i, j, chi_r)
+    cm = u4 @ c.transpose(1, 2, 0, 3).reshape(4, chi_l * chi_r)
+    c = np.ascontiguousarray(
+        cm.reshape(2, 2, chi_l, chi_r).transpose(2, 0, 1, 3)
+    )
+    lam_left = state.lambdas[q - 1] if q > 0 else None
+    theta = c if lam_left is None else c * lam_left[:, None, None, None]
+    um, s, vh = mps._svd(theta.reshape(2 * chi_l, 2 * chi_r))
+    del um
+    policy = state.policy
+    keep = int(np.count_nonzero(s > policy.discard_threshold)) if policy.discard_threshold > 0 else int(np.count_nonzero(s > 0))
+    if keep == 0:
+        raise mps.TruncationError(
+            f"all {s.size} Schmidt coefficients fall below "
+            f"{policy.discard_threshold} at bond {q}"
+        )
+    keep = min(keep, policy.chi_max)
+    discarded = float((s[keep:] ** 2).sum())
+    s_kept = s[:keep]
+    nrm = float(np.linalg.norm(s_kept))
+    state.lambdas[q] = s_kept / nrm
+    vk = vh[:keep]
+    state.tensors[q + 1] = vk.reshape(keep, 2, chi_r)
+    state.tensors[q] = (
+        c.reshape(2 * chi_l, 2 * chi_r) @ vk.conj().T
+    ).reshape(chi_l, 2, keep) / nrm
+    if stats is not None:
+        stats.svd_count += 1
+        if keep > stats.max_chi:
+            stats.max_chi = keep
+        if discarded > stats.max_discarded_weight:
+            stats.max_discarded_weight = discarded
+
+
+def reference_apply_2q_routed(state, u4, q1, q2, stats):
+    lo, hi = (q1, q2) if q1 < q2 else (q2, q1)
+    if q1 > q2:
+        u4 = _SWAP4 @ u4 @ _SWAP4
+    for p in range(lo, hi - 1):
+        reference_apply_2q_adjacent(state, _SWAP4, p, stats)
+        stats.swap_count += 1
+    reference_apply_2q_adjacent(state, u4, hi - 1, stats)
+    for p in range(hi - 2, lo - 1, -1):
+        reference_apply_2q_adjacent(state, _SWAP4, p, stats)
+        stats.swap_count += 1
+
+
+def reference_sample(state, qubits, shots, seed):
+    """One shot at a time; the same draws and decision rule as `mps.sample`."""
+    qubits = list(qubits)
+    rng = np.random.default_rng(seed)
+    randoms = rng.random((shots, state.n))
+    counts = {}
+    for shot in range(shots):
+        v = np.ones(1, dtype=complex)
+        bits = []
+        for l in range(state.n):
+            b = state.tensors[l]
+            v0 = v @ b[:, 0, :]
+            p0 = float((np.abs(v0) ** 2).sum())
+            v1 = v @ b[:, 1, :]
+            p1 = float((np.abs(v1) ** 2).sum())
+            if randoms[shot, l] * (p0 + p1) < p0:
+                bits.append("0")
+                v = v0 / np.sqrt(p0)
+            else:
+                bits.append("1")
+                v = v1 / np.sqrt(p1)
+        key = "".join(bits[q] for q in qubits)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def random_chain(bonds, rng, policy):
+    """Random normalized site tensors on the given bond dimensions (ends included).
+
+    The chain is not in canonical form; it is input for comparing two
+    implementations of the same arithmetic, with descending normalized
+    lambdas on every inner bond.
+    """
+    tensors = []
+    for dl, dr in zip(bonds, bonds[1:]):
+        t = rng.normal(size=(dl, 2, dr)) + 1j * rng.normal(size=(dl, 2, dr))
+        tensors.append(t / np.linalg.norm(t))
+    lambdas = []
+    for d in bonds[1:-1]:
+        lam = np.sort(rng.uniform(0.1, 1.0, d))[::-1]
+        lambdas.append(lam / np.linalg.norm(lam))
+    return mps.MpsState(n=len(tensors), tensors=tensors, lambdas=lambdas, policy=policy)
+
+
+def assert_states_close(a, b, tol=TOL):
+    assert len(a.tensors) == len(b.tensors)
+    for ta, tb in zip(a.tensors, b.tensors):
+        assert ta.shape == tb.shape
+        assert np.abs(ta - tb).max() <= tol
+    for la, lb in zip(a.lambdas, b.lambdas):
+        assert la.shape == lb.shape
+        assert np.abs(la - lb).max() <= tol
+
+
+def assert_stats_equal(a, b):
+    assert (a.gate_count, a.svd_count, a.swap_count, a.max_chi, a.peak_elements) == (
+        b.gate_count,
+        b.svd_count,
+        b.swap_count,
+        b.max_chi,
+        b.peak_elements,
+    )
+    assert a.max_discarded_weight == pytest.approx(b.max_discarded_weight, rel=1e-9, abs=1e-30)
+
+
+GATES = {
+    "haar": lambda rng: cir.unitary2(haar_unitary(4, rng), 1, 2),
+    "cphase": lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 1, 2),
+    "swap": lambda rng: cir.swap(1, 2),
+    "reversed_haar": lambda rng: cir.unitary2(haar_unitary(4, rng), 2, 1),
+    "reversed_cphase": lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 2, 1),
+}
+DIMS = (1, 2, 3, 8)
+POLICIES = {
+    "default": mps.TruncationPolicy(),
+    "chi3": mps.TruncationPolicy(chi_max=3),
+    "exact": mps.EXACT_POLICY,
+}
+
+
+@pytest.mark.parametrize("policy", list(POLICIES))
+@pytest.mark.parametrize("gate", list(GATES))
+@pytest.mark.parametrize("chi_l", DIMS)
+@pytest.mark.parametrize("chi_r", DIMS)
+def test_adjacent_step_matches_reference(chi_l, chi_r, gate, policy):
+    rng = np.random.default_rng(1000 * chi_l + 10 * chi_r + list(GATES).index(gate))
+    # sites 1 and 2 carry the gate; site 1 has a left Schmidt vector
+    state = random_chain((1, chi_l, 4, chi_r, 1), rng, POLICIES[policy])
+    ref = state.copy()
+    g = GATES[gate](rng)
+    got_stats, ref_stats = mps.GateStats(), mps.GateStats()
+    mps.apply_gate(state, g, got_stats)
+    if g.kind == "SWAP":
+        ref_stats.swap_count += 1
+    reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
+    assert_states_close(state, ref)
+    assert_stats_equal(got_stats, ref_stats)
+    if policy == "chi3" and 2 * min(chi_l, chi_r) > 3:
+        assert got_stats.max_chi == 3
+        assert got_stats.max_discarded_weight > 0
+
+
+@pytest.mark.parametrize("gate", ["haar", "swap"])
+def test_first_bond_step_matches_reference(gate):
+    # q = 0 has no left Schmidt vector to scale by
+    rng = np.random.default_rng(7)
+    state = random_chain((1, 2, 3), rng, mps.TruncationPolicy())
+    ref = state.copy()
+    u4 = _SWAP4 if gate == "swap" else haar_unitary(4, rng)
+    got_stats, ref_stats = mps.GateStats(), mps.GateStats()
+    mps._apply_2q_adjacent(state, None if gate == "swap" else u4, 0, got_stats)
+    reference_apply_2q_adjacent(ref, u4, 0, ref_stats)
+    assert_states_close(state, ref)
+    assert_stats_equal(got_stats, ref_stats)
+
+
+@pytest.mark.parametrize("chi_max", [3, 64])
+def test_routed_circuit_matches_reference(chi_max):
+    # distant and reversed pairs, routing swaps, and truncation at chi_max=3
+    policy = mps.TruncationPolicy(chi_max=chi_max)
+    circ = random_circuit(8, 40, seed=71)
+    state, ref = mps.init_state(8, policy), mps.init_state(8, policy)
+    got_stats = mps.run_circuit(state, circ)
+    ref_stats = mps.GateStats(peak_elements=ref.element_count())
+    for g in circ.gates:
+        if g.arity == 1:
+            mps.apply_gate(ref, g)
+        else:
+            reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
+        ref_stats.gate_count += 1
+        ref_stats.peak_elements = max(ref_stats.peak_elements, ref.element_count())
+    assert_stats_equal(got_stats, ref_stats)
+    # rounding differences of single steps add up over ~200 steps
+    assert_states_close(state, ref, tol=1e-10)
+    if chi_max == 3:
+        assert got_stats.max_discarded_weight > 0
+
+
+def test_svd_fallback_to_scipy(monkeypatch):
+    # gesvd fixes the singular-vector phases differently from numpy's gesdd,
+    # so the reference runs on the fallback too
+    rng = np.random.default_rng(11)
+    state = random_chain((1, 3, 4, 2, 1), rng, mps.TruncationPolicy(chi_max=3))
+    ref = state.copy()
+    u4 = haar_unitary(4, rng)
+
+    calls = []
+
+    def failing_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    got_stats, ref_stats = mps.GateStats(), mps.GateStats()
+    mps._apply_2q_adjacent(state, u4, 1, got_stats)
+    reference_apply_2q_adjacent(ref, u4, 1, ref_stats)
+    assert calls == [(6, 4), (6, 4)]
+    assert_states_close(state, ref)
+    assert_stats_equal(got_stats, ref_stats)
+    assert got_stats.max_chi == 3 and got_stats.max_discarded_weight > 0
+
+
+def _states():
+    pre = mps.init_state(cir.shor_order_circuit(15, 4).width)
+    mps.run_circuit(pre, cir.shor_order_circuit(15, 4))
+    rand = mps.init_state(9, mps.TruncationPolicy(chi_max=16))
+    mps.run_circuit(rand, random_circuit(9, 40, seed=5))
+    return {"preselected_15_4": pre, "random_9": rand}
+
+
+@pytest.fixture(scope="module")
+def sample_states():
+    return _states()
+
+
+@pytest.mark.parametrize("name", ["preselected_15_4", "random_9"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_matches_reference_loop(sample_states, name, seed):
+    state = sample_states[name]
+    qubits = [q for q in range(state.n) if q % 3 != 1]
+    got = mps.sample(state, qubits, 300, seed)
+    want = reference_sample(state, qubits, 300, seed)
+    assert list(got.items()) == list(want.items())
+
+
+def test_sample_without_divide_warnings():
+    # on a product state one branch has probability 0 at every site
+    state = mps.init_state(5)
+    mps.apply_1q(state, cir.x(0).full_matrix(), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            got = mps.sample(state, range(5), 64, 0)
+    assert got == {"00010": 64}
+
+
+def test_sample_no_qubits():
+    assert mps.sample(mps.init_state(3), [], 7, 0) == reference_sample(mps.init_state(3), [], 7, 0)
