@@ -31,7 +31,6 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--chi-max", type=int, default=64)
     ap.add_argument("--timeout-seconds", type=float, default=10_000.0)
-    ap.add_argument("--workers", type=int, default=None)
     ap.add_argument("--out", default="scaling_sweep.csv")
     args = ap.parse_args()
 
@@ -44,9 +43,7 @@ def main() -> int:
         truncation=TruncationPolicy(chi_max=args.chi_max),
         timeout_seconds=args.timeout_seconds,
     )
-    records = bench_sweep(
-        specs, config, modes=tuple(args.modes.split(",")), max_workers=args.workers
-    )
+    records = bench_sweep(specs, config, modes=tuple(args.modes.split(",")))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(records_to_csv(records))
     ok = sum(r.status == "success" for r in records)

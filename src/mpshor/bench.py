@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
@@ -162,15 +161,15 @@ def bench_sweep(
     targets,
     config: RunConfig,
     modes: tuple[str, ...] | None = None,
-    max_workers: int | None = None,
 ) -> list[BenchRecord]:
     """Run factor() for every target in every requested mode.
 
-    Targets are semiprime values or SemiprimeSpec entries. Jobs run on
-    a bounded thread pool but records come back in deterministic
-    (target, mode) order, and each job gets a seed derived from the
-    sweep seed and its position, so identical sweeps are identical up
-    to timestamps and durations.
+    Targets are semiprime values or SemiprimeSpec entries. Jobs run one
+    after another in (target, mode) order; a thread pool made sweeps
+    slower, since the small numpy calls of each step hold the
+    interpreter lock. Each job gets a seed derived from the sweep seed
+    and its position, so identical sweeps are identical up to
+    timestamps and durations.
     """
     values = [t.value if isinstance(t, SemiprimeSpec) else int(t) for t in targets]
     if not values:
@@ -182,9 +181,7 @@ def bench_sweep(
         for j, mode in enumerate(modes):
             cfg = replace(config, mode=mode, seed=config.seed + 7919 * (i * len(modes) + j))
             jobs.append((n, cfg))
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(_sweep_one, n, cfg) for n, cfg in jobs]
-        return [f.result() for f in futures]
+    return [_sweep_one(n, cfg) for n, cfg in jobs]
 
 
 @dataclass

@@ -91,7 +91,7 @@ class Gate:
             raise ValueError(f"matrix mismatch for {self.kind}")
         if self.matrix is not None:
             dim = 2 if self.kind == "U1" else 4
-            m = np.asarray(self.matrix, dtype=complex)
+            m = np.array(self.matrix, dtype=complex)  # frozen below; never the caller's array
             if m.shape != (dim, dim):
                 raise ValueError(f"{self.kind} matrix must be {dim}x{dim}")
             dev = np.abs(m.conj().T @ m - np.eye(dim)).max()

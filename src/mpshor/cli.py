@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated subset of {preselected,random}; default is --mode",
     )
-    p.add_argument("--workers", type=int, default=None, help="thread pool size")
     _add_run_options(p)
     _add_output_options(p)
 
@@ -215,9 +214,7 @@ def _cmd_bench(args) -> int:
         for m in modes:
             if m not in pl.MODES:
                 raise ValueError(f"unknown mode {m!r}")
-    records = bench_mod.bench_sweep(
-        targets, _config_from_args(args), modes=modes, max_workers=args.workers
-    )
+    records = bench_mod.bench_sweep(targets, _config_from_args(args), modes=modes)
     if args.output == "jsonl":
         _emit(bench_mod.records_to_jsonl(records), args.out)
     else:

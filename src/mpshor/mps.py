@@ -18,14 +18,16 @@ pure ``gamma`` tensors are available through :attr:`MpsState.gammas`.
 
 Two-qubit gates on non-adjacent qubits are routed to adjacency with
 swap steps and routed back, so the only entangling primitive is the
-adjacent-pair SVD update. A swap step, whether routing or an explicit
-``SWAP`` gate, is the same update with the gate replaced by a transpose
-of the pair's two physical indices. A gate whose first (high-bit)
-target lies to the right of its second is applied as the gate with its
-rows and columns permuted by ``[0, 2, 1, 3]``, which exchanges the two
-bits. Truncation keeps at most ``chi_max`` Schmidt coefficients, drops
-coefficients below ``discard_threshold``, and renormalizes the
-spectrum.
+adjacent-pair SVD update. Each SVD step is one call to LAPACK's
+divide-and-conquer driver ``zgesdd`` through scipy; if it reports a
+failure, the step falls back to the slower ``gesvd`` driver. A swap
+step, whether routing or an explicit ``SWAP`` gate, is the same update
+with the gate replaced by a transpose of the pair's two physical
+indices. A gate whose first (high-bit) target lies to the right of its
+second is applied as the gate with its rows and columns permuted by
+``[0, 2, 1, 3]``, which exchanges the two bits. Truncation keeps at
+most ``chi_max`` Schmidt coefficients, drops coefficients below
+``discard_threshold``, and renormalizes the spectrum.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
+from scipy.linalg import svd as scipy_svd
 
 from .circuit import Circuit, Gate, cswap_gates
 
 #: basis order (bit_a, bit_b) -> (bit_b, bit_a): reindexes a 4x4 gate for reversed targets
 _REVERSE = [0, 2, 1, 3]
-_UNITARY_TOL = 1e-12
+_gesdd = lapack.zgesdd
 
 
 class TruncationError(RuntimeError):
@@ -54,15 +58,12 @@ class SimulationTimeout(RuntimeError):
 class TruncationPolicy:
     chi_max: int = 64
     discard_threshold: float = 1e-12
-    renormalize: bool = True
 
     def __post_init__(self):
         if self.chi_max < 2:
             raise ValueError("chi_max must be at least 2")
         if not 0.0 <= self.discard_threshold < 1.0:
             raise ValueError("discard_threshold must lie in [0, 1)")
-        if not self.renormalize:
-            raise ValueError("renormalize must stay enabled")
 
 
 #: effectively untruncated evolution, for oracle comparisons
@@ -132,34 +133,19 @@ def init_state(n: int, policy: TruncationPolicy | None = None) -> MpsState:
     return MpsState(n=n, tensors=tensors, lambdas=lambdas, policy=policy or TruncationPolicy())
 
 
-def _check_unitary(u: np.ndarray, dim: int):
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {u.shape}")
-    if np.abs(u.conj().T @ u - np.eye(dim)).max() > _UNITARY_TOL:
-        raise ValueError("matrix is not unitary")
-    return u
-
-
 def _svd(m: np.ndarray):
-    try:
-        return np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError:
-        from scipy.linalg import svd as scipy_svd
-
-        return scipy_svd(m, full_matrices=False, lapack_driver="gesvd")
-
-
-def _apply_1q_raw(state: MpsState, u: np.ndarray, q: int):
-    b = state.tensors[q]
-    state.tensors[q] = np.einsum("ij,ajb->aib", u, b)
+    """Thin SVD (u, s, vh) by gesdd, or by gesvd when gesdd reports a failure."""
+    u, s, vh, info = _gesdd(m, compute_uv=1, full_matrices=0)
+    if info == 0:
+        return u, s, vh
+    return scipy_svd(m, full_matrices=False, lapack_driver="gesvd")
 
 
 def apply_1q(state: MpsState, u, q: int) -> MpsState:
     """Apply a 2x2 unitary to qubit q; bonds are untouched."""
     if not 0 <= q < state.n:
         raise ValueError(f"qubit {q} out of range for n={state.n}")
-    _apply_1q_raw(state, _check_unitary(u, 2), q)
+    state.tensors[q] = Gate("U1", (q,), matrix=u).matrix @ state.tensors[q]
     return state
 
 
@@ -235,11 +221,9 @@ def apply_2q(state: MpsState, u, q1: int, q2: int, stats: GateStats | None = Non
     Adjacent pairs get a single contract/apply/SVD/truncate update;
     distant pairs are routed to adjacency with swaps and routed back.
     """
-    if q1 == q2:
-        raise ValueError("two-qubit gate needs distinct qubits")
     if not (0 <= q1 < state.n and 0 <= q2 < state.n):
         raise ValueError(f"qubits ({q1}, {q2}) out of range for n={state.n}")
-    _apply_2q_routed(state, _check_unitary(u, 4), q1, q2, stats)
+    _apply_2q_routed(state, Gate("U2", (q1, q2), matrix=u).matrix, q1, q2, stats)
     return state
 
 
@@ -250,7 +234,8 @@ def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
             apply_gate(state, g, stats)
         return
     if gate.arity == 1:
-        _apply_1q_raw(state, gate.full_matrix(), gate.targets[0])
+        q = gate.targets[0]
+        state.tensors[q] = gate.full_matrix() @ state.tensors[q]
         return
     u4 = None if gate.kind == "SWAP" else gate.full_matrix()
     if u4 is None and stats is not None:

@@ -13,8 +13,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from sympy import isprime
-
 
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor of two nonnegative integers."""
@@ -65,7 +63,7 @@ class SemiprimeSpec:
             raise ValueError(f"N={self.value} is even")
         if self.p == self.q:
             raise ValueError(f"N={self.value} = {self.p}^2 is not square-free")
-        if not (isprime(self.p) and isprime(self.q)):
+        if not (_is_prime(self.p) and _is_prime(self.q)):
             raise ValueError(f"{self.p}, {self.q} must both be prime")
         if self.bit_length != self.value.bit_length():
             raise ValueError(
@@ -84,6 +82,11 @@ def _smallest_prime_factor(n: int) -> int | None:
     return None
 
 
+def _is_prime(n: int) -> bool:
+    """Exact primality by trial division, O(sqrt n) like finding p in `semiprime_spec`."""
+    return n == 2 or (n > 2 and _smallest_prime_factor(n) is None)
+
+
 def semiprime_spec(n: int) -> SemiprimeSpec:
     """Validate n as an odd square-free semiprime, factoring by trial division."""
     if n < 15 or n % 2 == 0:
@@ -94,7 +97,7 @@ def semiprime_spec(n: int) -> SemiprimeSpec:
     q = n // p
     if p == q:
         raise ValueError(f"N={n} = {p}^2 is not square-free")
-    if not isprime(q):
+    if not _is_prime(q):
         raise ValueError(f"N={n} has more than two prime factors")
     return SemiprimeSpec(value=n, p=p, q=q, bit_length=n.bit_length())
 

@@ -37,8 +37,8 @@ class TestBenchSweep:
         assert [r.mode for r in records] == ["preselected", "random"]
         assert all(r.n_value == 15 for r in records)
 
-    def test_records_in_target_order_with_workers(self):
-        records = bench.bench_sweep([33, 15, 21], RunConfig(seed=0), max_workers=3)
+    def test_records_in_target_order(self):
+        records = bench.bench_sweep([33, 15, 21], RunConfig(seed=0))
         assert [r.n_value for r in records] == [33, 15, 21]
         assert all(r.status == "success" for r in records)
 

@@ -348,8 +348,6 @@ class TestTruncation:
             mps.TruncationPolicy(chi_max=1)
         with pytest.raises(ValueError):
             mps.TruncationPolicy(discard_threshold=1.5)
-        with pytest.raises(ValueError):
-            mps.TruncationPolicy(renormalize=False)
 
     def test_all_coefficients_discarded_raises(self):
         state = mps.init_state(2, mps.TruncationPolicy(chi_max=2, discard_threshold=0.9))

@@ -1,13 +1,14 @@
-"""The two-site update and the sampler against their earlier, plainer versions.
+"""The MPS updates and the sampler against their earlier, plainer versions.
 
-The reference functions below are the previous bodies of
-`mps._apply_2q_adjacent` and `mps.sample`, kept as test oracles only.
+The reference functions below are the previous bodies of the one- and
+two-site updates and of `mps.sample`, kept as test oracles only.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mpshor import circuit as cir
 from mpshor import mps
@@ -17,6 +18,10 @@ _SWAP4 = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 TOL = 1e-12
+
+
+def reference_apply_1q(state, u, q):
+    state.tensors[q] = np.einsum("ij,ajb->aib", u, state.tensors[q])
 
 
 def reference_apply_2q_adjacent(state, u4, q, stats):
@@ -209,27 +214,81 @@ def test_routed_circuit_matches_reference(chi_max):
 
 
 def test_svd_fallback_to_scipy(monkeypatch):
-    # gesvd fixes the singular-vector phases differently from numpy's gesdd,
+    # gesvd fixes the singular-vector phases differently from gesdd,
     # so the reference runs on the fallback too
     rng = np.random.default_rng(11)
     state = random_chain((1, 3, 4, 2, 1), rng, mps.TruncationPolicy(chi_max=3))
     ref = state.copy()
     u4 = haar_unitary(4, rng)
 
-    calls = []
+    gesdd_calls, gesvd_calls = [], []
 
-    def failing_svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def failing_gesdd(m, **kwargs):
+        gesdd_calls.append(m.shape)
+        nan = np.full(m.shape, np.nan)  # a step that used this output would fail
+        return nan, nan[0], nan, 1
 
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    def spy_svd(m, **kwargs):
+        gesvd_calls.append((m.shape, kwargs["lapack_driver"]))
+        return scipy.linalg.svd(m, **kwargs)
+
+    monkeypatch.setattr(mps, "_gesdd", failing_gesdd)
+    monkeypatch.setattr(mps, "scipy_svd", spy_svd)
     got_stats, ref_stats = mps.GateStats(), mps.GateStats()
     mps._apply_2q_adjacent(state, u4, 1, got_stats)
     reference_apply_2q_adjacent(ref, u4, 1, ref_stats)
-    assert calls == [(6, 4), (6, 4)]
+    assert gesdd_calls == [(6, 4), (6, 4)]
+    assert gesvd_calls == [((6, 4), "gesvd"), ((6, 4), "gesvd")]
     assert_states_close(state, ref)
     assert_stats_equal(got_stats, ref_stats)
     assert got_stats.max_chi == 3 and got_stats.max_discarded_weight > 0
+
+
+def test_nan_theta_raises():
+    # gesdd rejects the NaN input and the gesvd fallback refuses it
+    rng = np.random.default_rng(12)
+    state = random_chain((1, 2, 2, 1), rng, mps.TruncationPolicy())
+    state.tensors[0][0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        mps.apply_2q(state, haar_unitary(4, rng), 0, 1)
+
+
+ONE_QUBIT = {
+    "h": lambda rng: cir.h(1),
+    "x": lambda rng: cir.x(1),
+    "phase": lambda rng: cir.phase(float(rng.uniform(0, 2 * np.pi)), 1),
+    "haar": lambda rng: cir.unitary1(haar_unitary(2, rng), 1),
+}
+
+
+@pytest.mark.parametrize("gate", list(ONE_QUBIT))
+@pytest.mark.parametrize("chi_l", DIMS)
+@pytest.mark.parametrize("chi_r", DIMS)
+def test_1q_update_matches_einsum(chi_l, chi_r, gate):
+    rng = np.random.default_rng(100 * chi_l + chi_r)
+    state = random_chain((1, chi_l, chi_r, 1), rng, mps.TruncationPolicy())
+    by_matrix, ref = state.copy(), state.copy()
+    g = ONE_QUBIT[gate](rng)
+    mps.apply_gate(state, g)
+    mps.apply_1q(by_matrix, g.full_matrix(), 1)
+    reference_apply_1q(ref, g.full_matrix(), 1)
+    assert_states_close(state, ref, tol=1e-15)
+    assert_states_close(by_matrix, ref, tol=1e-15)
+
+
+@pytest.mark.parametrize("n, a", [(15, 4), (15, 7)])
+def test_shor_circuit_matches_einsum_1q(n, a):
+    # rounding can rotate the basis of degenerate Schmidt subspaces, so
+    # equal states may hold different tensors: compare statevectors
+    circ = cir.shor_order_circuit(n, a)
+    state, ref = mps.init_state(circ.width), mps.init_state(circ.width)
+    mps.run_circuit(state, circ)
+    for g in circ.gates:
+        if g.arity == 1:
+            reference_apply_1q(ref, g.full_matrix(), g.targets[0])
+        else:
+            mps.apply_gate(ref, g)
+    assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= 1e-10
 
 
 def _states():

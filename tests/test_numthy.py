@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +151,41 @@ def test_semiprime_spec_fields():
     assert (s.value, s.p, s.q, s.bit_length) == (15, 3, 5, 4)
     with pytest.raises(ValueError):
         SemiprimeSpec(value=15, p=3, q=5, bit_length=5)
+
+
+def test_is_prime_matches_brute_force():
+    assert [n for n in range(-2, 10**5) if numthy._is_prime(n)] == [
+        n for n in range(-2, 10**5) if _is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (561, False),  # Carmichael numbers
+        (1105, False),
+        (1729, False),
+        (41041, False),
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+        ((1 << 31) - 1, True),
+    ],
+)
+def test_is_prime_pseudoprimes(n, prime):
+    assert numthy._is_prime(n) is prime
+
+
+def test_import_does_not_load_sympy():
+    code = "import sys, mpshor, mpshor.bench, mpshor.cli; print('sympy' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cf_expand_examples():
