@@ -134,27 +134,8 @@ def records_from_jsonl(text: str) -> list[BenchRecord]:
 
 def _sweep_one(n: int, config: RunConfig) -> BenchRecord:
     timestamp = datetime.now(timezone.utc).isoformat()
-    try:
-        outcome = factor(n, config)
-        return record_from_outcome(outcome, config.mode, config.shots, config.seed, timestamp)
-    except Exception:
-        # per-run failures must not kill the sweep; anything that is not a
-        # clean timeout is recorded as an exhausted run with no base
-        return BenchRecord(
-            n_value=n,
-            bit_length=n.bit_length(),
-            mode=config.mode,
-            a_used=None,
-            shots=config.shots,
-            status="exhausted",
-            circuit_build_seconds=0.0,
-            simulation_seconds=0.0,
-            postprocess_seconds=0.0,
-            peak_chi=1,
-            swap_count=0,
-            timestamp=timestamp,
-            seed=config.seed,
-        )
+    outcome = factor(n, config)
+    return record_from_outcome(outcome, config.mode, config.shots, config.seed, timestamp)
 
 
 def bench_sweep(
@@ -164,14 +145,20 @@ def bench_sweep(
 ) -> list[BenchRecord]:
     """Run factor() for every target in every requested mode.
 
-    Targets are semiprime values or SemiprimeSpec entries. Jobs run one
-    after another in (target, mode) order; a thread pool made sweeps
-    slower, since the small numpy calls of each step hold the
-    interpreter lock. Each job gets a seed derived from the sweep seed
-    and its position, so identical sweeps are identical up to
-    timestamps and durations.
+    Targets are semiprime values or SemiprimeSpec entries; every value
+    is validated, and every job's config built, before the first run,
+    so a bad target or mode raises ValueError without simulating
+    anything. Jobs run one after another in (target, mode) order; a
+    thread pool made sweeps slower, since the small numpy calls of each
+    step hold the interpreter lock. Each job gets a seed derived from
+    the sweep seed and its position, so identical sweeps are identical
+    up to timestamps and durations. Timeouts become `timeout` records
+    inside factor(); any other exception ends the sweep.
     """
-    values = [t.value if isinstance(t, SemiprimeSpec) else int(t) for t in targets]
+    values = [
+        t.value if isinstance(t, SemiprimeSpec) else semiprime_spec(int(t)).value
+        for t in targets
+    ]
     if not values:
         raise ValueError("no sweep targets")
     if modes is None:
@@ -249,7 +236,6 @@ def entropy_report(
     n: int,
     a: int,
     orderings=ORDERINGS,
-    checkpoints=None,
     truncation: mps_mod.TruncationPolicy | None = None,
     lambda_dump: dict[str, str] | None = None,
 ) -> list[EntropyReport]:
@@ -259,11 +245,10 @@ def entropy_report(
     the MPS backend, recording the bond entropy at the two register
     boundary cuts after state preparation, after each controlled
     multiplier block, and after the final inverse Fourier transform.
-    `checkpoints` optionally restricts recording to those labels;
+    Each segment between checkpoints runs through `mps.run_circuit`.
     `lambda_dump` maps an ordering to a path that receives the final
     Schmidt spectra for that run.
     """
-    wanted = None if checkpoints is None else set(checkpoints)
     reports = []
     for ordering in orderings:
         circ = shor_order_circuit(n, a, ordering)
@@ -271,10 +256,7 @@ def entropy_report(
         state = mps_mod.init_state(circ.width, truncation or mps_mod.TruncationPolicy())
         rows: list[tuple[str, int, float]] = []
         for label, gates in circ.segments():
-            for g in gates:
-                mps_mod.apply_gate(state, g)
-            if wanted is not None and label not in wanted:
-                continue
+            mps_mod.run_circuit(state, replace(circ, gates=gates, checkpoints=()))
             for cut in cuts:
                 rows.append((label, cut, mps_mod.bond_entropy(state, cut)))
         if lambda_dump and ordering in lambda_dump:

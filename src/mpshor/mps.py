@@ -167,7 +167,7 @@ def _apply_2q_adjacent(state: MpsState, u4: np.ndarray | None, q: int, stats: Ga
         theta = c
     _, s, vh = _svd(theta)
     policy = state.policy
-    keep = int(np.count_nonzero(s > policy.discard_threshold)) if policy.discard_threshold > 0 else int(np.count_nonzero(s > 0))
+    keep = int(np.count_nonzero(s > policy.discard_threshold))
     if keep == 0:
         raise TruncationError(
             f"all {s.size} Schmidt coefficients fall below "

@@ -1,10 +1,10 @@
 """Classical number theory behind the factorization pipeline.
 
 Everything here runs on plain Python integers, so nothing is capped by
-machine words. The quantum side only ever needs gcd, modular powers,
-continued fractions and the square-root-of-unity pre-selection; the
-brute-force order finder doubles as the test oracle for the quantum
-period estimates.
+machine words. The quantum side only ever needs gcd and modular powers
+(``math.gcd`` and ``pow``), continued fractions and the
+square-root-of-unity pre-selection; the brute-force order finder
+doubles as the test oracle for the quantum period estimates.
 """
 
 from __future__ import annotations
@@ -12,22 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
-def mod_pow(a: int, e: int, n: int) -> int:
-    """a**e mod n via square-and-multiply; exact for arbitrary sizes."""
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(a, e, n)
 
 
 def multiplicative_order(a: int, n: int) -> int:

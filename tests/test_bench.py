@@ -5,7 +5,8 @@ import pytest
 
 from mpshor import bench
 from mpshor import cli
-from mpshor.circuit import ORDERINGS
+from mpshor import mps
+from mpshor.circuit import ORDERINGS, shor_order_circuit
 from mpshor.mps import TruncationPolicy
 from mpshor.pipeline import RunConfig
 
@@ -46,11 +47,14 @@ class TestBenchSweep:
         records = bench.bench_sweep([15, 21], RunConfig(seed=0, timeout_seconds=1e-4))
         assert [r.status for r in records] == ["timeout", "timeout"]
 
-    def test_invalid_target_recorded_as_exhausted(self):
-        records = bench.bench_sweep([15, 17], RunConfig(seed=0))
-        assert records[0].status == "success"
-        assert records[1].status == "exhausted"
-        assert records[1].a_used is None
+    def test_invalid_target_recorded_as_exhausted(self, monkeypatch):
+        # the sweep rejects an invalid target before any run, not as an exhausted row
+        def no_run(n, config):
+            raise AssertionError("factor() called before targets were validated")
+
+        monkeypatch.setattr(bench, "factor", no_run)
+        with pytest.raises(ValueError, match="N=17 is prime"):
+            bench.bench_sweep([15, 17], RunConfig(seed=0))
 
     def test_deterministic_modulo_timing_fields(self):
         cfg = RunConfig(seed=11, mode="random")
@@ -84,9 +88,15 @@ class TestRecordSerialization:
         assert "simulation_seconds" in header
 
     def test_none_a_used_round_trips(self):
-        records = bench.bench_sweep([17], RunConfig(seed=0))  # invalid -> exhausted
-        assert records[0].a_used is None
+        records = [
+            bench.BenchRecord(
+                n_value=15, bit_length=4, mode="random", a_used=None, shots=8,
+                status="timeout", circuit_build_seconds=0.0, simulation_seconds=0.0,
+                postprocess_seconds=0.0, peak_chi=1, swap_count=0, timestamp="", seed=0,
+            )
+        ]
         assert bench.records_from_csv(bench.records_to_csv(records)) == records
+        assert bench.records_from_jsonl(bench.records_to_jsonl(records)) == records
 
     def test_bad_status_rejected(self):
         with pytest.raises(ValueError):
@@ -174,12 +184,21 @@ class TestEntropyReport:
         jl = bench.entropy_reports_to_jsonl(reports)
         assert '"ordering": "upper-lower-ancilla"' in jl
 
-    def test_checkpoint_filter(self):
-        (rep,) = bench.entropy_report(
-            15, 4, orderings=("upper-lower-ancilla",), checkpoints=("prep", "iqft")
-        )
-        assert {label for label, _, _ in rep.rows} == {"prep", "iqft"}
-        assert len(rep.rows) == 4
+    @pytest.mark.parametrize("a", [4, 7])
+    def test_rows_match_gate_by_gate_reference(self, a):
+        reports = bench.entropy_report(15, a)
+        assert [r.ordering for r in reports] == list(ORDERINGS)
+        for rep in reports:
+            circ = shor_order_circuit(15, a, rep.ordering)
+            state = mps.init_state(circ.width)
+            rows = []
+            for label, gates in circ.segments():
+                for g in gates:
+                    mps.apply_gate(state, g)
+                for cut in circ.layout.boundary_cuts():
+                    rows.append((label, cut, mps.bond_entropy(state, cut)))
+            assert rep.rows == rows
+            assert rep.mean_entropy == sum(s for _, _, s in rows) / len(rows)
 
     def test_lambda_dump(self, tmp_path):
         path = tmp_path / "lam.txt"
@@ -260,6 +279,15 @@ class TestCli:
         assert code == 0
         assert out.read_text().startswith("n_value,a,ordering")
 
+    def test_entropy_base_defaults_to_preselected(self, tmp_path):
+        given, default = tmp_path / "given.csv", tmp_path / "default.csv"
+        for argv, out in ((["15", "4"], given), (["15"], default)):
+            code = cli.cli_main(
+                ["entropy", *argv, "--orderings", "upper-lower-ancilla", "--out", str(out)]
+            )
+            assert code == 0
+        assert default.read_text() == given.read_text()
+
     def test_entropy_bad_ordering(self):
         assert cli.cli_main(["entropy", "15", "4", "--orderings", "sideways"]) == 2
 
@@ -272,6 +300,10 @@ class TestCli:
         records = bench.records_from_csv(out.read_text())
         assert [r.n_value for r in records] == [15, 21]
         assert all(r.status == "success" for r in records)
+
+    def test_bench_bad_mode_usage_error(self, capsys):
+        assert cli.cli_main(["bench", "15", "--modes", "preselected,bogus"]) == 2
+        assert "mode must be one of" in capsys.readouterr().err
 
     def test_bench_requires_targets(self, capsys):
         assert cli.cli_main(["bench"]) == 2

@@ -14,9 +14,7 @@ from mpshor.numthy import (
     breakable_bits,
     cf_expand,
     extract_order,
-    gcd,
     generate_semiprimes,
-    mod_pow,
     multiplicative_order,
     preselect_base,
     semiprime_spec,
@@ -65,28 +63,6 @@ def _is_prime(n):
 
 def euler_phi(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
-def test_gcd_examples():
-    assert gcd(0, 7) == 7
-    assert gcd(4, 15) == 1
-    assert gcd(6, 15) == 3
-
-
-def test_gcd_both_zero_rejected():
-    with pytest.raises(ValueError):
-        gcd(0, 0)
-
-
-def test_mod_pow_examples():
-    assert mod_pow(4, 2, 15) == 1
-    assert mod_pow(7, 0, 15) == 1
-    assert mod_pow(32, 2, 93) == 1
-
-
-def test_mod_pow_arbitrary_precision():
-    n = (1 << 80) + 13
-    assert mod_pow(3, 1 << 20, n) == pow(3, 1 << 20, n)
 
 
 def test_multiplicative_order_paper_values():
