@@ -54,6 +54,7 @@ _CX_MAT = np.array(
 # V*V = X, used to split three-qubit gates into two-qubit ones
 _V_MAT = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 _CV_MAT = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), _V_MAT]])
+_EYE4 = np.eye(4, dtype=complex)
 
 _KIND_ARITY = {
     "H": 1,
@@ -113,7 +114,7 @@ class Gate:
         if self.kind == "PHASE":
             return np.array([[1, 0], [0, cmath.exp(1j * self.angle)]])
         if self.kind == "CPHASE":
-            m = np.eye(4, dtype=complex)
+            m = _EYE4.copy()
             m[3, 3] = cmath.exp(1j * self.angle)
             return m
         if self.kind == "SWAP":

@@ -25,13 +25,31 @@ step, whether routing or an explicit ``SWAP`` gate, is the same update
 with the gate replaced by a transpose of the pair's two physical
 indices. A gate whose first (high-bit) target lies to the right of its
 second is applied as the gate with its rows and columns permuted by
-``[0, 2, 1, 3]``, which exchanges the two bits. Truncation keeps at
-most ``chi_max`` Schmidt coefficients, drops coefficients below
-``discard_threshold``, and renormalizes the spectrum.
+``[0, 2, 1, 3]``, which exchanges the two bits; ``CPHASE`` is symmetric
+in its two bits and is applied to its targets in chain order instead.
+Truncation keeps at most ``chi_max`` Schmidt coefficients, drops
+coefficients at or below ``discard_threshold``, and renormalizes the
+spectrum.
+
+Truncation bookkeeping
+----------------------
+The few singular values of a step are read into a Python list once
+(LAPACK returns them descending). The keep rule walks back from the
+tail past values ``<= discard_threshold`` and then caps the count at
+``chi_max``; the discarded weight and the norm of the kept spectrum
+are sums of squares over that list. ``GateStats`` counts every SVD
+step, the largest kept bond and the largest discarded weight of one
+step. Routing swaps are counted once per routed gate in
+``_apply_2q_routed``, ``2 * (hi - lo - 1)`` for targets ``lo < hi``,
+and an explicit ``SWAP`` gate adds one more in ``apply_gate``.
+``run_circuit`` tracks the total tensor size from the sizes of the
+span each multi-qubit gate is routed across, which are the only
+tensors it changes.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -154,9 +172,10 @@ def _apply_2q_adjacent(state: MpsState, u4: np.ndarray | None, q: int, stats: Ga
 
     ``u4=None`` swaps the two sites by transposing their physical indices.
     """
-    bl, br = state.tensors[q], state.tensors[q + 1]
+    tensors = state.tensors
+    bl, br = tensors[q], tensors[q + 1]
     chi_l, chi_r = bl.shape[0], br.shape[2]
-    c = bl.reshape(2 * chi_l, -1) @ br.reshape(-1, 2 * chi_r)  # ((chi_l, i), (j, chi_r))
+    c = bl.reshape(2 * chi_l, -1).dot(br.reshape(-1, 2 * chi_r))  # ((chi_l, i), (j, chi_r))
     if u4 is None:
         c = c.reshape(chi_l, 2, 2, chi_r).transpose(0, 2, 1, 3).reshape(2 * chi_l, 2 * chi_r)
     else:
@@ -167,24 +186,27 @@ def _apply_2q_adjacent(state: MpsState, u4: np.ndarray | None, q: int, stats: Ga
         theta = c
     _, s, vh = _svd(theta)
     policy = state.policy
-    keep = int(np.count_nonzero(s > policy.discard_threshold))
+    threshold = policy.discard_threshold
+    sl = s.tolist()  # descending
+    keep = len(sl)
+    while keep and sl[keep - 1] <= threshold:
+        keep -= 1
     if keep == 0:
         raise TruncationError(
-            f"all {s.size} Schmidt coefficients fall below "
-            f"{policy.discard_threshold} at bond {q}"
+            f"all {len(sl)} Schmidt coefficients fall below {threshold} at bond {q}"
         )
-    keep = min(keep, policy.chi_max)
+    if keep > policy.chi_max:
+        keep = policy.chi_max
     discarded = 0.0
-    if keep < s.size:
-        tail = s[keep:]
-        discarded = float(tail @ tail)
-        s, vh = s[:keep], vh[:keep]
-    nrm = float(np.sqrt(s @ s))
+    if keep < len(sl):
+        discarded = math.fsum([x * x for x in sl[keep:]])
+        s, vh, sl = s[:keep], vh[:keep], sl[:keep]
+    nrm = math.sqrt(math.fsum([x * x for x in sl]))
     state.lambdas[q] = s / nrm
-    state.tensors[q + 1] = vh.reshape(keep, 2, chi_r)
-    left = c @ vh.conj().T
+    tensors[q + 1] = vh.reshape(keep, 2, chi_r)
+    left = c.dot(vh.T.conj())  # gesdd's vh is Fortran-ordered, so vh.T is C-ordered
     left /= nrm
-    state.tensors[q] = left.reshape(chi_l, 2, keep)
+    tensors[q] = left.reshape(chi_l, 2, keep)
     if stats is not None:
         stats.svd_count += 1
         if keep > stats.max_chi:
@@ -206,13 +228,11 @@ def _apply_2q_routed(
         u4 = u4[_REVERSE][:, _REVERSE]
     for p in range(lo, hi - 1):
         _apply_2q_adjacent(state, None, p, stats)
-        if stats is not None:
-            stats.swap_count += 1
     _apply_2q_adjacent(state, u4, hi - 1, stats)
     for p in range(hi - 2, lo - 1, -1):
         _apply_2q_adjacent(state, None, p, stats)
-        if stats is not None:
-            stats.swap_count += 1
+    if stats is not None:
+        stats.swap_count += 2 * (hi - lo - 1)
 
 
 def apply_2q(state: MpsState, u, q1: int, q2: int, stats: GateStats | None = None) -> MpsState:
@@ -229,7 +249,8 @@ def apply_2q(state: MpsState, u, q1: int, q2: int, stats: GateStats | None = Non
 
 def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
     """Apply one circuit gate; ControlledSwap is lowered to two-qubit gates."""
-    if gate.kind == "CSWAP":
+    kind = gate.kind
+    if kind == "CSWAP":
         for g in cswap_gates(*gate.targets):
             apply_gate(state, g, stats)
         return
@@ -237,10 +258,17 @@ def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
         q = gate.targets[0]
         state.tensors[q] = gate.full_matrix() @ state.tensors[q]
         return
-    u4 = None if gate.kind == "SWAP" else gate.full_matrix()
-    if u4 is None and stats is not None:
-        stats.swap_count += 1
-    _apply_2q_routed(state, u4, gate.targets[0], gate.targets[1], stats)
+    q1, q2 = gate.targets
+    if kind == "SWAP":
+        u4 = None
+        if stats is not None:
+            stats.swap_count += 1
+    else:
+        u4 = gate.full_matrix()
+        if kind == "CPHASE" and q1 > q2:
+            # symmetric in its two bits, so it needs no reindexing for reversed targets
+            q1, q2 = q2, q1
+    _apply_2q_routed(state, u4, q1, q2, stats)
 
 
 def run_circuit(state: MpsState, circ: Circuit, deadline: float | None = None) -> GateStats:
@@ -252,18 +280,25 @@ def run_circuit(state: MpsState, circ: Circuit, deadline: float | None = None) -
     """
     if circ.width != state.n:
         raise ValueError(f"circuit width {circ.width} != state size {state.n}")
-    stats = GateStats(peak_elements=state.element_count())
+    tensors = state.tensors
+    elems = state.element_count()
+    stats = GateStats(peak_elements=elems)
     for g in circ.gates:
         if deadline is not None and time.monotonic() > deadline:
             raise SimulationTimeout(
                 f"deadline expired after {stats.gate_count} of {len(circ.gates)} gates"
             )
-        apply_gate(state, g, stats)
-        stats.gate_count += 1
-        if g.arity > 1:  # 1-qubit gates never change tensor shapes
-            elems = state.element_count()
+        if g.arity == 1:  # 1-qubit gates never change tensor shapes
+            apply_gate(state, g, stats)
+        else:
+            # a gate changes only the tensors of the span it is routed across
+            lo, hi = min(g.targets), max(g.targets) + 1
+            before = sum([t.size for t in tensors[lo:hi]])
+            apply_gate(state, g, stats)
+            elems += sum([t.size for t in tensors[lo:hi]]) - before
             if elems > stats.peak_elements:
                 stats.peak_elements = elems
+        stats.gate_count += 1
     return stats
 
 

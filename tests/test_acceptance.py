@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from mpshor import bench, circuit as cir, dense, mps, numthy
 from mpshor import pipeline as pl
@@ -198,6 +199,7 @@ def test_10_normalization():
 
 
 @criterion(11, "identical sweep configurations replay identically")
+@pytest.mark.slow
 def test_11_sweep_determinism():
     cfg = pl.RunConfig(shots=8, seed=12345)
     modes = ("preselected", "random")

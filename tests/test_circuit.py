@@ -249,7 +249,9 @@ class TestShorOrderCircuit:
         circ = cir.shor_order_circuit(15, 4)
         assert circ.measured == circ.layout.upper
 
-    @pytest.mark.parametrize("n_mod,a", [(15, 4), (15, 7), (21, 8)])
+    @pytest.mark.parametrize(
+        "n_mod,a", [(15, 4), (15, 7), pytest.param(21, 8, marks=pytest.mark.slow)]
+    )
     def test_pre_iqft_state_matches_analytic(self, n_mod, a):
         circ = cir.shor_order_circuit(n_mod, a)
         n = n_mod.bit_length()

@@ -167,6 +167,37 @@ class TestRunCircuit:
         got = (stats.gate_count, stats.svd_count, stats.swap_count, stats.max_chi, stats.peak_elements)
         assert got == counts
 
+    def test_truncating_step_counts(self):
+        # a random-base run capped at chi 2: the cap drops half the weight at the worst cut
+        circ = cir.shor_order_circuit(15, 7)
+        stats = mps.run_circuit(mps.init_state(circ.width, mps.TruncationPolicy(chi_max=2)), circ)
+        got = (stats.gate_count, stats.svd_count, stats.swap_count, stats.max_chi, stats.peak_elements)
+        assert got == (2243, 11034, 9428, 2, 100)
+        assert stats.max_discarded_weight == pytest.approx(0.5, rel=1e-9)
+
+    @pytest.mark.parametrize("chi_max", [3, 64])
+    def test_peak_elements_match_full_walk(self, chi_max):
+        # controlled swaps whose third target lies outside the first two, on a
+        # lightly entangled chain, then distant and reversed Haar gates:
+        # peak_elements is tracked over the span each gate touches and must
+        # equal a walk of the whole chain after every gate
+        rng = np.random.default_rng(5)
+        gates = [cir.h(q) for q in range(9)]
+        gates += [cir.cswap(0, 1, 8), cir.cswap(7, 2, 4), cir.cphase(0.7, 8, 3), cir.cswap(5, 8, 0)]
+        gates += [cir.unitary2(haar_unitary(4, rng), 6, 1), cir.cswap(3, 0, 6)]
+        gates += random_circuit(9, 12, seed=17).gates
+        circ = cir.Circuit(9, tuple(gates))
+        policy = mps.TruncationPolicy(chi_max=chi_max)
+        ref = mps.init_state(9, policy)
+        walks = [ref.element_count()]
+        for g in circ.gates:
+            mps.apply_gate(ref, g)
+            walks.append(ref.element_count())
+        assert len(set(walks)) > 3
+        for k in range(1, len(gates) + 1):
+            stats = mps.run_circuit(mps.init_state(9, policy), cir.Circuit(9, tuple(gates[:k])))
+            assert stats.peak_elements == max(walks[: k + 1])
+
 
 class TestAmplitude:
     def test_matches_dense_everywhere(self):

@@ -213,6 +213,66 @@ def test_routed_circuit_matches_reference(chi_max):
         assert got_stats.max_discarded_weight > 0
 
 
+SPECTRUM = np.array([0.6, 0.5, 0.4, 0.3, 0.25, 0.2, 0.1, 0.05])
+
+
+def chosen_spectrum_state(chi_max, cut):
+    """Chain whose identity step on sites (1, 2) splits theta = U diag(SPECTRUM) V^dagger.
+
+    The identity gate and the unit left Schmidt vector leave theta bit
+    for bit equal to the product of the two sites. The threshold is the
+    cut-th singular value as the step computes it. Returns the state
+    and those singular values.
+    """
+    rng = np.random.default_rng(3)
+    left = haar_unitary(8, rng) * SPECTRUM
+    right = haar_unitary(8, rng)
+    seen = mps._svd(left.dot(right))[1]
+    assert np.abs(seen - SPECTRUM).max() < 1e-15
+    tensors = [
+        np.full((1, 2, 4), 0.5, dtype=complex),
+        left.reshape(4, 2, 8),
+        right.reshape(8, 2, 4),
+        np.full((4, 2, 1), 0.5, dtype=complex),
+    ]
+    lambdas = [np.ones(4), SPECTRUM / np.linalg.norm(SPECTRUM), np.ones(4)]
+    policy = mps.TruncationPolicy(chi_max, float(seen[cut]))
+    return mps.MpsState(n=4, tensors=tensors, lambdas=lambdas, policy=policy), seen
+
+
+@pytest.mark.parametrize(
+    "chi_max, cut, keep",
+    [(64, 3, 3), (6, 3, 3), (2, 5, 2), (3, 3, 3), (64, 7, 7)],
+)
+def test_keep_rule_on_chosen_spectrum(chi_max, cut, keep):
+    # the value equal to the threshold is dropped with everything after it;
+    # chi_max then caps what is left
+    state, seen = chosen_spectrum_state(chi_max, cut)
+    ref = state.copy()
+    stats, ref_stats = mps.GateStats(), mps.GateStats()
+    mps._apply_2q_adjacent(state, np.eye(4, dtype=complex), 1, stats)
+    reference_apply_2q_adjacent(ref, np.eye(4, dtype=complex), 1, ref_stats)
+    assert state.lambdas[1].size == keep and stats.max_chi == keep
+    assert state.tensors[1].shape == (4, 2, keep) and state.tensors[2].shape == (keep, 2, 4)
+    dropped = seen[keep:]
+    assert stats.max_discarded_weight == pytest.approx(float((dropped**2).sum()), rel=1e-12)
+    assert float(np.linalg.norm(state.lambdas[1])) == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(state.lambdas[1] - seen[:keep] / np.linalg.norm(seen[:keep])).max() <= 1e-15
+    assert_states_close(state, ref)
+    assert_stats_equal(stats, ref_stats)
+
+
+def test_keep_rule_drops_whole_spectrum_at_threshold():
+    # every value at or below the threshold: nothing is kept and the state is untouched
+    state, _ = chosen_spectrum_state(64, 0)
+    before = state.copy()
+    stats = mps.GateStats()
+    with pytest.raises(mps.TruncationError, match="all 8 Schmidt coefficients"):
+        mps._apply_2q_adjacent(state, np.eye(4, dtype=complex), 1, stats)
+    assert_states_close(state, before, tol=0)
+    assert stats == mps.GateStats()
+
+
 def test_svd_fallback_to_scipy(monkeypatch):
     # gesvd fixes the singular-vector phases differently from gesdd,
     # so the reference runs on the fallback too
