@@ -15,33 +15,19 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 
 from . import mps as mps_mod
-from .circuit import ORDERINGS, shor_order_circuit
+from .circuit import ORDERINGS, reorder_registers, shor_order_circuit
 from .numthy import SemiprimeSpec, multiplicative_order, semiprime_spec
 from .pipeline import FactorizationOutcome, RunConfig, factor, run_period_finding
-
-CSV_COLUMNS = [
-    "n_value",
-    "bit_length",
-    "mode",
-    "a_used",
-    "shots",
-    "status",
-    "circuit_build_seconds",
-    "simulation_seconds",
-    "postprocess_seconds",
-    "peak_chi",
-    "swap_count",
-    "timestamp",
-    "seed",
-]
 
 
 @dataclass
 class BenchRecord:
+    """One sweep row; the fields, in order, are the CSV and JSONL columns."""
+
     n_value: int
     bit_length: int
     mode: str
@@ -64,6 +50,16 @@ class BenchRecord:
                 raise ValueError(f"{name} must be nonnegative")
         if self.peak_chi < 1:
             raise ValueError("peak_chi must be >= 1")
+
+
+CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
+# CSV cell text -> field value, keyed by the field's annotation
+_FROM_CSV = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "int | None": lambda v: None if v == "" else int(v),
+}
 
 
 def record_from_outcome(
@@ -92,40 +88,19 @@ def records_to_csv(records) -> str:
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for r in records:
-        row = {c: getattr(r, c) for c in CSV_COLUMNS}
-        row["a_used"] = "" if r.a_used is None else r.a_used
-        writer.writerow(row)
+        writer.writerow({c: getattr(r, c) for c in CSV_COLUMNS})  # None is written as ""
     return buf.getvalue()
 
 
 def records_from_csv(text: str) -> list[BenchRecord]:
-    out = []
-    for row in csv.DictReader(io.StringIO(text)):
-        out.append(
-            BenchRecord(
-                n_value=int(row["n_value"]),
-                bit_length=int(row["bit_length"]),
-                mode=row["mode"],
-                a_used=None if row["a_used"] == "" else int(row["a_used"]),
-                shots=int(row["shots"]),
-                status=row["status"],
-                circuit_build_seconds=float(row["circuit_build_seconds"]),
-                simulation_seconds=float(row["simulation_seconds"]),
-                postprocess_seconds=float(row["postprocess_seconds"]),
-                peak_chi=int(row["peak_chi"]),
-                swap_count=int(row["swap_count"]),
-                timestamp=row["timestamp"],
-                seed=int(row["seed"]),
-            )
-        )
-    return out
+    return [
+        BenchRecord(**{f.name: _FROM_CSV[f.type](row[f.name]) for f in fields(BenchRecord)})
+        for row in csv.DictReader(io.StringIO(text))
+    ]
 
 
 def records_to_jsonl(records) -> str:
-    lines = []
-    for r in records:
-        lines.append(json.dumps({f.name: getattr(r, f.name) for f in fields(r)}, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records)
 
 
 def records_from_jsonl(text: str) -> list[BenchRecord]:
@@ -241,17 +216,24 @@ def entropy_report(
 ) -> list[EntropyReport]:
     """Register-boundary entanglement at every checkpoint, per ordering.
 
-    Simulates the order-finding circuit once per register ordering on
+    Builds the order-finding circuit once, relabels it into each
+    register ordering with `reorder_registers`, and simulates each on
     the MPS backend, recording the bond entropy at the two register
     boundary cuts after state preparation, after each controlled
     multiplier block, and after the final inverse Fourier transform.
     Each segment between checkpoints runs through `mps.run_circuit`.
-    `lambda_dump` maps an ordering to a path that receives the final
-    Schmidt spectra for that run.
+    Every ordering is checked before the first run. `lambda_dump` maps
+    an ordering to a path that receives the final Schmidt spectra for
+    that run.
     """
+    orderings = tuple(orderings)
+    for ordering in orderings:
+        if ordering not in ORDERINGS:
+            raise ValueError(f"unknown ordering {ordering!r}")
+    base = shor_order_circuit(n, a)
     reports = []
     for ordering in orderings:
-        circ = shor_order_circuit(n, a, ordering)
+        circ = reorder_registers(base, ordering)
         cuts = circ.layout.boundary_cuts()
         state = mps_mod.init_state(circ.width, truncation or mps_mod.TruncationPolicy())
         rows: list[tuple[str, int, float]] = []

@@ -212,7 +212,6 @@ class RegisterLayout:
     def __post_init__(self):
         if self.ordering not in ORDERINGS:
             raise ValueError(f"unknown ordering {self.ordering!r}")
-        regs = {"upper": self.upper, "lower": self.lower, "ancilla": self.ancilla}
         n = len(self.lower)
         if len(self.upper) != 2 * n or len(self.ancilla) != n + 2:
             raise ValueError("register sizes must be (2n, n, n+2)")
@@ -220,8 +219,7 @@ class RegisterLayout:
         if sorted(all_idx) != list(range(4 * n + 2)):
             raise ValueError("registers must partition [0, 4n+2)")
         pos = 0
-        for name in self.ordering.split("-"):
-            block = regs[name]
+        for name, block in self.blocks():
             if list(block) != list(range(pos, pos + len(block))):
                 raise ValueError(f"register {name} not contiguous at position {pos}")
             pos += len(block)
@@ -290,20 +288,6 @@ class Circuit:
             measured=self.measured,
         )
 
-    def up_to_checkpoint(self, label: str) -> Circuit:
-        for name, idx in self.checkpoints:
-            if name == label:
-                return Circuit(
-                    self.width,
-                    self.gates[:idx],
-                    layout=self.layout,
-                    measured=self.measured,
-                    checkpoints=tuple(
-                        (nm, i) for nm, i in self.checkpoints if i <= idx
-                    ),
-                )
-        raise KeyError(f"no checkpoint {label!r}")
-
     def segments(self):
         """Yield (label, gates) spans between consecutive checkpoints."""
         prev = 0
@@ -340,17 +324,6 @@ def qft_circuit(n: int) -> Circuit:
 
 def inverse_qft_circuit(n: int) -> Circuit:
     return qft_circuit(n).inverse()
-
-
-def cc_phase_gates(theta: float, c1: int, c2: int, t: int) -> list[Gate]:
-    """Phase theta on |11.>|1>, from two-qubit gates only."""
-    return [
-        cphase(theta / 2, c2, t),
-        cx(c1, c2),
-        cphase(-theta / 2, c2, t),
-        cx(c1, c2),
-        cphase(theta / 2, c1, t),
-    ]
 
 
 def toffoli_gates(c1: int, c2: int, t: int) -> list[Gate]:
@@ -463,14 +436,16 @@ def controlled_modular_multiplier(a: int, modulus: int, control: int, layout: Re
     return g
 
 
-def shor_order_circuit(modulus: int, a: int, ordering: str = "upper-lower-ancilla") -> Circuit:
+def shor_order_circuit(modulus: int, a: int) -> Circuit:
     """Order-finding circuit for a modulo N on 4n+2 qubits.
 
     Counting register in uniform superposition, work register prepared
     to |1>, one controlled multiplication by a^(2^j) per counting
     qubit, then the inverse Fourier transform on the counting register,
     which is the register to measure. The ancilla block is uncomputed
-    to |0...0> by each multiplier.
+    to |0...0> by each multiplier. The registers are laid out
+    upper-lower-ancilla; `reorder_registers` relabels them into any
+    other chain order.
     """
     if modulus % 2 == 0 or modulus < 15:
         raise ValueError(f"modulus must be odd and >= 15, got {modulus}")
@@ -480,7 +455,7 @@ def shor_order_circuit(modulus: int, a: int, ordering: str = "upper-lower-ancill
         raise ValueError(f"a={a} shares a factor with N={modulus}")
     n = modulus.bit_length()
     t = 2 * n
-    layout = RegisterLayout.for_bits(n, ordering)
+    layout = RegisterLayout.for_bits(n)
     gates: list[Gate] = [h(q) for q in layout.upper]
     gates.append(x(layout.lower[-1]))
     checkpoints = [("prep", len(gates))]
@@ -506,10 +481,7 @@ def reorder_registers(circ: Circuit, ordering: str) -> Circuit:
     old = circ.layout
     n = len(old.lower)
     new = RegisterLayout.for_bits(n, ordering)
-    perm: dict[int, int] = {}
-    for name in ("upper", "lower", "ancilla"):
-        for a, b in zip(getattr(old, name), getattr(new, name)):
-            perm[a] = b
+    perm = dict(zip(old.upper + old.lower + old.ancilla, new.upper + new.lower + new.ancilla))
     return Circuit(
         width=circ.width,
         gates=tuple(g.remapped(perm) for g in circ.gates),

@@ -180,13 +180,7 @@ def _cmd_histogram(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    if args.orderings == "all":
-        orderings = ORDERINGS
-    else:
-        orderings = tuple(args.orderings.split(","))
-        for o in orderings:
-            if o not in ORDERINGS:
-                raise ValueError(f"unknown ordering {o!r}")
+    orderings = ORDERINGS if args.orderings == "all" else tuple(args.orderings.split(","))
     dump = None
     if args.dump_lambdas:
         dump = {o: f"{args.dump_lambdas}.{o}" for o in orderings}

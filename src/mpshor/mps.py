@@ -13,8 +13,7 @@ bond to its right (``tensors[l] = gamma_l * diag(lambdas[l])``), which
 keeps every update free of divisions by small Schmidt coefficients:
 a two-qubit gate contracts the two site tensors, applies the gate,
 multiplies in the left Schmidt vector, splits by SVD, and rebuilds the
-left tensor by projecting onto the kept right singular vectors. The
-pure ``gamma`` tensors are available through :attr:`MpsState.gammas`.
+left tensor by projecting onto the kept right singular vectors.
 
 Two-qubit gates on non-adjacent qubits are routed to adjacency with
 swap steps and routed back, so the only entangling primitive is the
@@ -57,7 +56,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.linalg import svd as scipy_svd
 
-from .circuit import Circuit, Gate, cswap_gates
+from .circuit import Circuit, Gate, cswap_gates, unitary1, unitary2
 
 #: basis order (bit_a, bit_b) -> (bit_b, bit_a): reindexes a 4x4 gate for reversed targets
 _REVERSE = [0, 2, 1, 3]
@@ -115,17 +114,6 @@ class MpsState:
     lambdas: list[np.ndarray]
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
 
-    @property
-    def gammas(self) -> list[np.ndarray]:
-        """Site tensors in the pure chain gauge (right Schmidt vector divided out)."""
-        out = []
-        for l, b in enumerate(self.tensors):
-            if l < self.n - 1:
-                out.append(b / self.lambdas[l][None, None, :])
-            else:
-                out.append(b.copy())
-        return out
-
     def copy(self) -> MpsState:
         return MpsState(
             n=self.n,
@@ -157,14 +145,6 @@ def _svd(m: np.ndarray):
     if info == 0:
         return u, s, vh
     return scipy_svd(m, full_matrices=False, lapack_driver="gesvd")
-
-
-def apply_1q(state: MpsState, u, q: int) -> MpsState:
-    """Apply a 2x2 unitary to qubit q; bonds are untouched."""
-    if not 0 <= q < state.n:
-        raise ValueError(f"qubit {q} out of range for n={state.n}")
-    state.tensors[q] = Gate("U1", (q,), matrix=u).matrix @ state.tensors[q]
-    return state
 
 
 def _apply_2q_adjacent(state: MpsState, u4: np.ndarray | None, q: int, stats: GateStats | None):
@@ -235,20 +215,16 @@ def _apply_2q_routed(
         stats.swap_count += 2 * (hi - lo - 1)
 
 
-def apply_2q(state: MpsState, u, q1: int, q2: int, stats: GateStats | None = None) -> MpsState:
-    """Apply a 4x4 unitary to qubits (q1, q2), q1 carrying the high bit.
-
-    Adjacent pairs get a single contract/apply/SVD/truncate update;
-    distant pairs are routed to adjacency with swaps and routed back.
-    """
-    if not (0 <= q1 < state.n and 0 <= q2 < state.n):
-        raise ValueError(f"qubits ({q1}, {q2}) out of range for n={state.n}")
-    _apply_2q_routed(state, Gate("U2", (q1, q2), matrix=u).matrix, q1, q2, stats)
-    return state
-
-
 def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
-    """Apply one circuit gate; ControlledSwap is lowered to two-qubit gates."""
+    """Apply one circuit gate; ControlledSwap is lowered to two-qubit gates.
+
+    The one entry point for a gate (`apply_1q` and `apply_2q` wrap
+    their matrix in a U1 or U2 gate). A target outside the chain raises
+    ValueError before the state is touched; arity, distinct targets and
+    unitarity were checked when the gate was built.
+    """
+    if max(gate.targets) >= state.n:
+        raise ValueError(f"{gate.kind}{gate.targets} out of range for n={state.n}")
     kind = gate.kind
     if kind == "CSWAP":
         for g in cswap_gates(*gate.targets):
@@ -269,6 +245,18 @@ def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
             # symmetric in its two bits, so it needs no reindexing for reversed targets
             q1, q2 = q2, q1
     _apply_2q_routed(state, u4, q1, q2, stats)
+
+
+def apply_1q(state: MpsState, u, q: int) -> MpsState:
+    """Apply a 2x2 unitary to qubit q; bonds are untouched."""
+    apply_gate(state, unitary1(u, q))
+    return state
+
+
+def apply_2q(state: MpsState, u, q1: int, q2: int, stats: GateStats | None = None) -> MpsState:
+    """Apply a 4x4 unitary to qubits (q1, q2), q1 carrying the high bit."""
+    apply_gate(state, unitary2(u, q1, q2), stats)
+    return state
 
 
 def run_circuit(state: MpsState, circ: Circuit, deadline: float | None = None) -> GateStats:

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from mpshor import bench
 from mpshor import cli
 from mpshor import mps
-from mpshor.circuit import ORDERINGS, shor_order_circuit
+from mpshor.circuit import ORDERINGS, reorder_registers, shor_order_circuit
 from mpshor.mps import TruncationPolicy
 from mpshor.pipeline import RunConfig
 
@@ -82,10 +84,15 @@ class TestRecordSerialization:
         assert back == records
 
     def test_csv_has_trend_columns(self):
+        columns = [
+            "n_value", "bit_length", "mode", "a_used", "shots", "status",
+            "circuit_build_seconds", "simulation_seconds", "postprocess_seconds",
+            "peak_chi", "swap_count", "timestamp", "seed",
+        ]
         text = bench.records_to_csv(self._records())
-        header = text.splitlines()[0].split(",")
-        assert "bit_length" in header
-        assert "simulation_seconds" in header
+        assert text.splitlines()[0] == ",".join(columns)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert ", ".join(columns) in re.sub(r"\s+", " ", readme)
 
     def test_none_a_used_round_trips(self):
         records = [
@@ -189,7 +196,7 @@ class TestEntropyReport:
         reports = bench.entropy_report(15, a)
         assert [r.ordering for r in reports] == list(ORDERINGS)
         for rep in reports:
-            circ = shor_order_circuit(15, a, rep.ordering)
+            circ = reorder_registers(shor_order_circuit(15, a), rep.ordering)
             state = mps.init_state(circ.width)
             rows = []
             for label, gates in circ.segments():
@@ -199,6 +206,14 @@ class TestEntropyReport:
                     rows.append((label, cut, mps.bond_entropy(state, cut)))
             assert rep.rows == rows
             assert rep.mean_entropy == sum(s for _, _, s in rows) / len(rows)
+
+    def test_bad_ordering_rejected_before_any_run(self, monkeypatch):
+        def no_run(state, circ, deadline=None):
+            raise AssertionError("run_circuit called before the orderings were checked")
+
+        monkeypatch.setattr(mps, "run_circuit", no_run)
+        with pytest.raises(ValueError, match="unknown ordering 'sideways'"):
+            bench.entropy_report(15, 4, orderings=("upper-lower-ancilla", "sideways"))
 
     def test_lambda_dump(self, tmp_path):
         path = tmp_path / "lam.txt"
