@@ -80,12 +80,7 @@ class Gate:
     def __post_init__(self):
         if self.kind not in _KIND_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.targets) != _KIND_ARITY[self.kind]:
-            raise ValueError(f"{self.kind} takes {_KIND_ARITY[self.kind]} targets")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"duplicate targets {self.targets}")
-        if any(t < 0 for t in self.targets):
-            raise ValueError(f"negative target in {self.targets}")
+        self._check_targets(self.targets)
         if (self.angle is not None) != (self.kind in _ANGLED):
             raise ValueError(f"angle mismatch for {self.kind}")
         if (self.matrix is not None) != (self.kind in _MATRIXED):
@@ -100,6 +95,14 @@ class Gate:
                 raise ValueError(f"matrix not unitary (deviation {dev:.2e})")
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
+
+    def _check_targets(self, targets: tuple[int, ...]) -> None:
+        if len(targets) != _KIND_ARITY[self.kind]:
+            raise ValueError(f"{self.kind} takes {_KIND_ARITY[self.kind]} targets")
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"duplicate targets {targets}")
+        if any(t < 0 for t in targets):
+            raise ValueError(f"negative target in {targets}")
 
     @property
     def arity(self) -> int:
@@ -134,12 +137,12 @@ class Gate:
         return Gate(self.kind, self.targets, matrix=self.matrix.conj().T)
 
     def remapped(self, perm: dict[int, int]) -> Gate:
-        return Gate(
-            self.kind,
-            tuple(perm[t] for t in self.targets),
-            angle=self.angle,
-            matrix=self.matrix,
-        )
+        """The gate on relabelled targets; it shares the matrix checked and frozen at build."""
+        targets = tuple(perm[t] for t in self.targets)
+        self._check_targets(targets)
+        gate = object.__new__(Gate)
+        gate.__dict__.update(vars(self), targets=targets)
+        return gate
 
 
 def h(q: int) -> Gate:

@@ -17,13 +17,18 @@ left tensor by projecting onto the kept right singular vectors.
 
 Two-qubit gates on non-adjacent qubits are routed to adjacency with
 swap steps and routed back, so the only entangling primitive is the
-adjacent-pair SVD update. Each SVD step is one call to LAPACK's
-divide-and-conquer driver ``zgesdd`` through scipy; if it reports a
-failure, the step falls back to the slower ``gesvd`` driver. A swap
-step, whether routing or an explicit ``SWAP`` gate, is the same update
-with the gate replaced by a transpose of the pair's two physical
-indices. A gate whose first (high-bit) target lies to the right of its
-second is applied as the gate with its rows and columns permuted by
+adjacent-pair SVD update; a routed gate is one loop over its swap and
+gate steps. Each SVD step is one call to numpy's gufunc for LAPACK's
+divide-and-conquer driver ``zgesdd``, the kernel behind
+``np.linalg.svd``. If it fails, numpy warns of an invalid value and
+fills the outputs with NaN, and the step falls back to the slower
+``gesvd`` driver through scipy, which is used for nothing else and
+imported only then. The warning is left on: an ``np.errstate`` around
+each gate slowed whole runs by a few percent. A swap step, whether routing
+or an explicit ``SWAP`` gate, is the same update with the gate
+replaced by a transpose of the pair's two physical indices. A gate
+whose first (high-bit) target lies to the right of its second is
+applied as the gate with its rows and columns permuted by
 ``[0, 2, 1, 3]``, which exchanges the two bits; ``CPHASE`` is symmetric
 in its two bits and is applied to its targets in chain order instead.
 Truncation keeps at most ``chi_max`` Schmidt coefficients, drops
@@ -53,14 +58,15 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.linalg import svd as scipy_svd
+import numpy.random  # used by sample; imported here so its load is part of start-up
+from numpy.linalg import _umath_linalg
 
 from .circuit import Circuit, Gate, cswap_gates, unitary1, unitary2
 
 #: basis order (bit_a, bit_b) -> (bit_b, bit_a): reindexes a 4x4 gate for reversed targets
 _REVERSE = [0, 2, 1, 3]
-_gesdd = lapack.zgesdd
+#: numpy's LAPACK zgesdd gufunc, the kernel of np.linalg.svd: theta -> thin (u, s, vh)
+_gesdd = _umath_linalg.svd_s
 
 
 class TruncationError(RuntimeError):
@@ -139,12 +145,11 @@ def init_state(n: int, policy: TruncationPolicy | None = None) -> MpsState:
     return MpsState(n=n, tensors=tensors, lambdas=lambdas, policy=policy or TruncationPolicy())
 
 
-def _svd(m: np.ndarray):
-    """Thin SVD (u, s, vh) by gesdd, or by gesvd when gesdd reports a failure."""
-    u, s, vh, info = _gesdd(m, compute_uv=1, full_matrices=0)
-    if info == 0:
-        return u, s, vh
-    return scipy_svd(m, full_matrices=False, lapack_driver="gesvd")
+def _gesvd(m: np.ndarray):
+    """Thin SVD (u, s, vh) by LAPACK gesvd, the fallback when gesdd fails."""
+    from scipy.linalg import svd  # scipy's only use, so it stays off the import path
+
+    return svd(m, full_matrices=False, lapack_driver="gesvd")
 
 
 def _apply_2q_adjacent(state: MpsState, u4: np.ndarray | None, q: int, stats: GateStats | None):
@@ -152,47 +157,7 @@ def _apply_2q_adjacent(state: MpsState, u4: np.ndarray | None, q: int, stats: Ga
 
     ``u4=None`` swaps the two sites by transposing their physical indices.
     """
-    tensors = state.tensors
-    bl, br = tensors[q], tensors[q + 1]
-    chi_l, chi_r = bl.shape[0], br.shape[2]
-    c = bl.reshape(2 * chi_l, -1).dot(br.reshape(-1, 2 * chi_r))  # ((chi_l, i), (j, chi_r))
-    if u4 is None:
-        c = c.reshape(chi_l, 2, 2, chi_r).transpose(0, 2, 1, 3).reshape(2 * chi_l, 2 * chi_r)
-    else:
-        c = np.matmul(u4, c.reshape(chi_l, 4, chi_r)).reshape(2 * chi_l, 2 * chi_r)
-    if q > 0:
-        theta = (c.reshape(chi_l, -1) * state.lambdas[q - 1][:, None]).reshape(2 * chi_l, -1)
-    else:
-        theta = c
-    _, s, vh = _svd(theta)
-    policy = state.policy
-    threshold = policy.discard_threshold
-    sl = s.tolist()  # descending
-    keep = len(sl)
-    while keep and sl[keep - 1] <= threshold:
-        keep -= 1
-    if keep == 0:
-        raise TruncationError(
-            f"all {len(sl)} Schmidt coefficients fall below {threshold} at bond {q}"
-        )
-    if keep > policy.chi_max:
-        keep = policy.chi_max
-    discarded = 0.0
-    if keep < len(sl):
-        discarded = math.fsum([x * x for x in sl[keep:]])
-        s, vh, sl = s[:keep], vh[:keep], sl[:keep]
-    nrm = math.sqrt(math.fsum([x * x for x in sl]))
-    state.lambdas[q] = s / nrm
-    tensors[q + 1] = vh.reshape(keep, 2, chi_r)
-    left = c.dot(vh.T.conj())  # gesdd's vh is Fortran-ordered, so vh.T is C-ordered
-    left /= nrm
-    tensors[q] = left.reshape(chi_l, 2, keep)
-    if stats is not None:
-        stats.svd_count += 1
-        if keep > stats.max_chi:
-            stats.max_chi = keep
-        if discarded > stats.max_discarded_weight:
-            stats.max_discarded_weight = discarded
+    _apply_2q_routed(state, u4, q, q + 1, stats)
 
 
 def _apply_2q_routed(
@@ -202,15 +167,61 @@ def _apply_2q_routed(
     q2: int,
     stats: GateStats | None,
 ):
-    """Route (q1, q2) to adjacency with swaps, apply u4, and route back; u4=None is a SWAP."""
+    """Route (q1, q2) to adjacency with swaps, apply u4, and route back; u4=None is a SWAP.
+
+    One SVD step on each pair (q, q+1) of the walk lo..hi-2, hi-1,
+    hi-2..lo: the step on (hi-1, hi) applies u4 and every other step
+    swaps the pair.
+    """
     lo, hi = (q1, q2) if q1 < q2 else (q2, q1)
     if q1 > q2 and u4 is not None:
         u4 = u4[_REVERSE][:, _REVERSE]
-    for p in range(lo, hi - 1):
-        _apply_2q_adjacent(state, None, p, stats)
-    _apply_2q_adjacent(state, u4, hi - 1, stats)
-    for p in range(hi - 2, lo - 1, -1):
-        _apply_2q_adjacent(state, None, p, stats)
+    tensors, lambdas = state.tensors, state.lambdas
+    chi_max, threshold = state.policy.chi_max, state.policy.discard_threshold
+    gesdd = _gesdd
+    top = hi - 1
+    for q in (*range(lo, top), *range(top, lo - 1, -1)):
+        bl, br = tensors[q], tensors[q + 1]
+        chi_l, chi_r = bl.shape[0], br.shape[2]
+        c = bl.reshape(2 * chi_l, -1).dot(br.reshape(-1, 2 * chi_r))  # ((chi_l, i), (j, chi_r))
+        if q != top or u4 is None:
+            c = c.reshape(chi_l, 2, 2, chi_r).transpose(0, 2, 1, 3).reshape(2 * chi_l, 2 * chi_r)
+        else:
+            c = np.matmul(u4, c.reshape(chi_l, 4, chi_r)).reshape(2 * chi_l, 2 * chi_r)
+        if q > 0:
+            theta = (c.reshape(chi_l, -1) * lambdas[q - 1][:, None]).reshape(2 * chi_l, -1)
+        else:
+            theta = c
+        _, s, vh = gesdd(theta, signature="D->DdD")
+        sl = s.tolist()  # descending
+        if sl[0] != sl[0]:  # gesdd failed, and the gufunc filled its outputs with NaN
+            _, s, vh = _gesvd(theta)
+            sl = s.tolist()
+        keep = len(sl)
+        while keep and sl[keep - 1] <= threshold:
+            keep -= 1
+        if keep == 0:
+            raise TruncationError(
+                f"all {len(sl)} Schmidt coefficients fall below {threshold} at bond {q}"
+            )
+        if keep > chi_max:
+            keep = chi_max
+        discarded = 0.0
+        if keep < len(sl):
+            discarded = math.fsum([x * x for x in sl[keep:]])
+            s, vh, sl = s[:keep], vh[:keep], sl[:keep]
+        nrm = math.sqrt(math.fsum([x * x for x in sl]))
+        lambdas[q] = s / nrm
+        tensors[q + 1] = vh.reshape(keep, 2, chi_r)
+        left = c.dot(vh.T.conj())
+        left /= nrm
+        tensors[q] = left.reshape(chi_l, 2, keep)
+        if stats is not None:
+            stats.svd_count += 1
+            if keep > stats.max_chi:
+                stats.max_chi = keep
+            if discarded > stats.max_discarded_weight:
+                stats.max_discarded_weight = discarded
     if stats is not None:
         stats.swap_count += 2 * (hi - lo - 1)
 

@@ -60,6 +60,21 @@ class TestGate:
         with pytest.raises(ValueError):
             cir.cswap(1, 1, 3)
 
+    def test_remapped_shares_checked_matrix(self):
+        g = cir.unitary2(haar_unitary(4, np.random.default_rng(2)), 0, 1)
+        r = g.remapped({0: 3, 1: 2})
+        assert (r.kind, r.targets, r.angle) == ("U2", (3, 2), None)
+        assert r.matrix is g.matrix and not r.matrix.flags.writeable
+        p = cir.cphase(0.4, 0, 1).remapped({0: 1, 1: 0})
+        assert (p.kind, p.targets, p.angle) == ("CPHASE", (1, 0), 0.4)
+
+    @pytest.mark.parametrize("perm", [{0: 2, 1: 2}, {0: -1, 1: 2}])
+    def test_remapped_rejects_bad_targets(self, perm):
+        g = cir.unitary2(haar_unitary(4, np.random.default_rng(3)), 0, 1)
+        for gate in (g, cir.cphase(0.4, 0, 1), cir.swap(0, 1)):
+            with pytest.raises(ValueError):
+                gate.remapped(perm)
+
     def test_dagger(self):
         rng = np.random.default_rng(1)
         for g in [cir.h(0), cir.phase(0.9, 0), cir.cphase(0.4, 0, 1),

@@ -20,6 +20,14 @@ _SWAP4 = np.array(
 TOL = 1e-12
 
 
+def reference_svd(m):
+    """The step's SVD: the gesdd kernel, or gesvd when gesdd fails."""
+    u, s, vh = mps._gesdd(m, signature="D->DdD")
+    if np.isnan(s[0]):
+        return mps._gesvd(m)
+    return u, s, vh
+
+
 def reference_apply_1q(state, u, q):
     state.tensors[q] = np.einsum("ij,ajb->aib", u, state.tensors[q])
 
@@ -35,7 +43,7 @@ def reference_apply_2q_adjacent(state, u4, q, stats):
     )
     lam_left = state.lambdas[q - 1] if q > 0 else None
     theta = c if lam_left is None else c * lam_left[:, None, None, None]
-    um, s, vh = mps._svd(theta.reshape(2 * chi_l, 2 * chi_r))
+    um, s, vh = reference_svd(theta.reshape(2 * chi_l, 2 * chi_r))
     del um
     policy = state.policy
     keep = int(np.count_nonzero(s > policy.discard_threshold)) if policy.discard_threshold > 0 else int(np.count_nonzero(s > 0))
@@ -227,7 +235,7 @@ def chosen_spectrum_state(chi_max, cut):
     rng = np.random.default_rng(3)
     left = haar_unitary(8, rng) * SPECTRUM
     right = haar_unitary(8, rng)
-    seen = mps._svd(left.dot(right))[1]
+    seen = mps._gesdd(left.dot(right), signature="D->DdD")[1]
     assert np.abs(seen - SPECTRUM).max() < 1e-15
     tensors = [
         np.full((1, 2, 4), 0.5, dtype=complex),
@@ -283,19 +291,25 @@ def test_svd_fallback_to_scipy(monkeypatch):
 
     gesdd_calls, gesvd_calls = [], []
 
-    def failing_gesdd(m, **kwargs):
+    def failing_gesdd(m, signature):
+        # a failed gufunc call fills its outputs with NaN
         gesdd_calls.append(m.shape)
-        nan = np.full(m.shape, np.nan)  # a step that used this output would fail
-        return nan, nan[0], nan, 1
+        rows, cols = m.shape
+        p = min(rows, cols)
+        return np.full((rows, p), np.nan + 0j), np.full(p, np.nan), np.full((p, cols), np.nan + 0j)
+
+    real_svd = scipy.linalg.svd
 
     def spy_svd(m, **kwargs):
         gesvd_calls.append((m.shape, kwargs["lapack_driver"]))
-        return scipy.linalg.svd(m, **kwargs)
+        return real_svd(m, **kwargs)
 
     monkeypatch.setattr(mps, "_gesdd", failing_gesdd)
-    monkeypatch.setattr(mps, "scipy_svd", spy_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", spy_svd)
     got_stats, ref_stats = mps.GateStats(), mps.GateStats()
-    mps._apply_2q_adjacent(state, u4, 1, got_stats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mps._apply_2q_adjacent(state, u4, 1, got_stats)
     reference_apply_2q_adjacent(ref, u4, 1, ref_stats)
     assert gesdd_calls == [(6, 4), (6, 4)]
     assert gesvd_calls == [((6, 4), "gesvd"), ((6, 4), "gesvd")]
@@ -304,12 +318,25 @@ def test_svd_fallback_to_scipy(monkeypatch):
     assert got_stats.max_chi == 3 and got_stats.max_discarded_weight > 0
 
 
+@pytest.mark.parametrize("chi_l", [1, 2, 3, 8, 32])
+@pytest.mark.parametrize("chi_r", [1, 2, 3, 8, 32])
+def test_gesdd_handle_matches_linalg_svd(chi_l, chi_r):
+    # the kernel is a private numpy handle: a numpy that moves or changes it fails here
+    rng = np.random.default_rng(100 * chi_l + chi_r)
+    m = rng.normal(size=(2 * chi_l, 2 * chi_r)) + 1j * rng.normal(size=(2 * chi_l, 2 * chi_r))
+    _, s, vh = mps._gesdd(m, signature="D->DdD")
+    _, want_s, want_vh = np.linalg.svd(m, full_matrices=False)
+    assert s.dtype == want_s.dtype and vh.dtype == want_vh.dtype
+    assert np.array_equal(s, want_s)
+    assert np.array_equal(vh, want_vh)
+
+
 def test_nan_theta_raises():
-    # gesdd rejects the NaN input and the gesvd fallback refuses it
+    # gesdd rejects the NaN input (numpy warns of the invalid value) and the gesvd fallback refuses it
     rng = np.random.default_rng(12)
     state = random_chain((1, 2, 2, 1), rng, mps.TruncationPolicy())
     state.tensors[0][0, 0, 0] = np.nan
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="NaN"):
         mps.apply_2q(state, haar_unitary(4, rng), 0, 1)
 
 

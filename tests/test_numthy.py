@@ -150,8 +150,9 @@ def test_is_prime_pseudoprimes(n, prime):
     assert numthy._is_prime(n) is prime
 
 
-def test_import_does_not_load_sympy():
-    code = "import sys, mpshor, mpshor.bench, mpshor.cli; print('sympy' in sys.modules)"
+def _loaded_on_import(module):
+    """"True" or "False": whether a fresh `import mpshor` with its CLI loads `module`."""
+    code = f"import sys, mpshor, mpshor.bench, mpshor.cli; print({module!r} in sys.modules)"
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -161,7 +162,16 @@ def test_import_does_not_load_sympy():
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_sympy():
+    assert _loaded_on_import("sympy") == "False"
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported only by the gesvd fallback of an SVD step
+    assert _loaded_on_import("scipy") == "False"
 
 
 def test_cf_expand_examples():
