@@ -1,9 +1,8 @@
 """Backend-agnostic gate-level circuits and the order-finding builders.
 
-Circuits are flat lists of 1-, 2- (and, for the ControlledSwap kind,
-3-) qubit gates. Qubit indices are chain positions: index 0 is the
-left end of the MPS chain and the most significant bit of any value a
-register encodes.
+Circuits are flat lists of 1- and 2-qubit gates. Qubit indices are
+chain positions: index 0 is the left end of the MPS chain and the most
+significant bit of any value a register encodes.
 
 The order-finding circuit follows the reversible-arithmetic layout
 with three registers: a counting register of 2n qubits, a work
@@ -28,7 +27,6 @@ record per line:
     PHASE 3 0.7853981633974483
     CPHASE 0 4 1.5707963267948966
     SWAP 2 5
-    CSWAP 1 8 12
     U1 4 (0.707...+0j) ... (4 complex entries, row major)
     U2 2 3 (1+0j) ... (16 complex entries, row major)
 """
@@ -62,7 +60,6 @@ _KIND_ARITY = {
     "PHASE": 1,
     "CPHASE": 2,
     "SWAP": 2,
-    "CSWAP": 3,
     "U1": 1,
     "U2": 2,
 }
@@ -122,15 +119,10 @@ class Gate:
             return m
         if self.kind == "SWAP":
             return _SWAP_MAT
-        if self.kind == "CSWAP":
-            m = np.eye(8, dtype=complex)
-            m[[5, 6], [5, 6]] = 0
-            m[5, 6] = m[6, 5] = 1
-            return m
         return self.matrix
 
     def dagger(self) -> Gate:
-        if self.kind in ("H", "X", "SWAP", "CSWAP"):
+        if self.kind in ("H", "X", "SWAP"):
             return self
         if self.kind in _ANGLED:
             return Gate(self.kind, self.targets, angle=-self.angle)
@@ -163,10 +155,6 @@ def cphase(theta: float, c: int, t: int) -> Gate:
 
 def swap(a: int, b: int) -> Gate:
     return Gate("SWAP", (a, b))
-
-
-def cswap(c: int, a: int, b: int) -> Gate:
-    return Gate("CSWAP", (c, a, b))
 
 
 def unitary1(m, q: int) -> Gate:
@@ -283,14 +271,6 @@ class Circuit:
             if not 0 <= idx <= len(self.gates):
                 raise ValueError("checkpoint index out of range")
 
-    def inverse(self) -> Circuit:
-        return Circuit(
-            self.width,
-            tuple(g.dagger() for g in reversed(self.gates)),
-            layout=self.layout,
-            measured=self.measured,
-        )
-
     def segments(self):
         """Yield (label, gates) spans between consecutive checkpoints."""
         prev = 0
@@ -326,7 +306,7 @@ def qft_circuit(n: int) -> Circuit:
 
 
 def inverse_qft_circuit(n: int) -> Circuit:
-    return qft_circuit(n).inverse()
+    return Circuit(n, tuple(inverse_gates(qft_circuit(n).gates)))
 
 
 def toffoli_gates(c1: int, c2: int, t: int) -> list[Gate]:
@@ -335,7 +315,7 @@ def toffoli_gates(c1: int, c2: int, t: int) -> list[Gate]:
 
 
 def cswap_gates(c: int, a: int, b: int) -> list[Gate]:
-    """ControlledSwap lowered to two-qubit gates."""
+    """Swap a and b when c is set, as two-qubit gates."""
     return [cx(b, a), *toffoli_gates(c, a, b), cx(b, a)]
 
 

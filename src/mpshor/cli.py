@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=pl.BACKENDS, default="mps")
     p.add_argument("--chi-max", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    _add_output_options(p)
+    p.add_argument("--out", metavar="FILE", help="write the table to FILE instead of stdout")
 
     p = sub.add_parser("entropy", help="register-boundary entanglement per ordering")
     p.add_argument("n", type=int)

@@ -44,12 +44,6 @@ def _apply_controlled_block(psi: np.ndarray, v: np.ndarray, c: int, t: int, n: i
     """U = diag(I, v) on (control c, target t)."""
     i10 = _slice(n, [(c, 1), (t, 0)])
     i11 = _slice(n, [(c, 1), (t, 1)])
-    if v[0, 1] == 0 and v[1, 0] == 0:
-        if v[0, 0] != 1:
-            psi[i10] *= v[0, 0]
-        if v[1, 1] != 1:
-            psi[i11] *= v[1, 1]
-        return
     s0 = psi[i10].copy()
     s1 = psi[i11]
     psi[i10] = v[0, 0] * s0 + v[0, 1] * s1
@@ -76,14 +70,6 @@ def _apply_gate(psi: np.ndarray, g: Gate, n: int):
         tmp = psi[i01].copy()
         psi[i01] = psi[i10]
         psi[i10] = tmp
-        return
-    if g.kind == "CSWAP":
-        c, a, b = ts
-        i101 = _slice(n, [(c, 1), (a, 0), (b, 1)])
-        i110 = _slice(n, [(c, 1), (a, 1), (b, 0)])
-        tmp = psi[i101].copy()
-        psi[i101] = psi[i110]
-        psi[i110] = tmp
         return
     u = g.full_matrix()
     if g.arity == 1:

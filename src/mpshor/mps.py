@@ -47,7 +47,7 @@ step. Routing swaps are counted once per routed gate in
 ``_apply_2q_routed``, ``2 * (hi - lo - 1)`` for targets ``lo < hi``,
 and an explicit ``SWAP`` gate adds one more in ``apply_gate``.
 ``run_circuit`` tracks the total tensor size from the sizes of the
-span each multi-qubit gate is routed across, which are the only
+span each two-qubit gate is routed across, which are the only
 tensors it changes.
 """
 
@@ -61,7 +61,7 @@ import numpy as np
 import numpy.random  # used by sample; imported here so its load is part of start-up
 from numpy.linalg import _umath_linalg
 
-from .circuit import Circuit, Gate, cswap_gates, unitary1, unitary2
+from .circuit import Circuit, Gate, unitary1, unitary2
 
 #: basis order (bit_a, bit_b) -> (bit_b, bit_a): reindexes a 4x4 gate for reversed targets
 _REVERSE = [0, 2, 1, 3]
@@ -152,14 +152,6 @@ def _gesvd(m: np.ndarray):
     return svd(m, full_matrices=False, lapack_driver="gesvd")
 
 
-def _apply_2q_adjacent(state: MpsState, u4: np.ndarray | None, q: int, stats: GateStats | None):
-    """Gate on the adjacent pair (q, q+1); u4 rows indexed by (bit_q, bit_q+1).
-
-    ``u4=None`` swaps the two sites by transposing their physical indices.
-    """
-    _apply_2q_routed(state, u4, q, q + 1, stats)
-
-
 def _apply_2q_routed(
     state: MpsState,
     u4: np.ndarray | None,
@@ -227,7 +219,7 @@ def _apply_2q_routed(
 
 
 def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
-    """Apply one circuit gate; ControlledSwap is lowered to two-qubit gates.
+    """Apply one circuit gate.
 
     The one entry point for a gate (`apply_1q` and `apply_2q` wrap
     their matrix in a U1 or U2 gate). A target outside the chain raises
@@ -236,23 +228,18 @@ def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
     """
     if max(gate.targets) >= state.n:
         raise ValueError(f"{gate.kind}{gate.targets} out of range for n={state.n}")
-    kind = gate.kind
-    if kind == "CSWAP":
-        for g in cswap_gates(*gate.targets):
-            apply_gate(state, g, stats)
-        return
     if gate.arity == 1:
         q = gate.targets[0]
         state.tensors[q] = gate.full_matrix() @ state.tensors[q]
         return
     q1, q2 = gate.targets
-    if kind == "SWAP":
+    if gate.kind == "SWAP":
         u4 = None
         if stats is not None:
             stats.swap_count += 1
     else:
         u4 = gate.full_matrix()
-        if kind == "CPHASE" and q1 > q2:
+        if gate.kind == "CPHASE" and q1 > q2:
             # symmetric in its two bits, so it needs no reindexing for reversed targets
             q1, q2 = q2, q1
     _apply_2q_routed(state, u4, q1, q2, stats)

@@ -286,6 +286,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ideal peaks" in out
 
+    def test_histogram_rejects_output_flag(self):
+        # histogram writes a table only; --out is its one output flag
+        assert cli.cli_main(["histogram", "15", "4", "--output", "jsonl"]) == 2
+
     def test_entropy_csv_out(self, tmp_path):
         out = tmp_path / "ent.csv"
         code = cli.cli_main(

@@ -39,7 +39,6 @@ class TestGate:
             cir.phase(1.1, 0),
             cir.cphase(0.3, 0, 1),
             cir.swap(0, 1),
-            cir.cswap(0, 1, 2),
             cir.unitary1(haar_unitary(2, rng), 0),
             cir.unitary2(haar_unitary(4, rng), 0, 1),
             cir.cx(0, 1),
@@ -57,8 +56,6 @@ class TestGate:
     def test_rejects_duplicate_targets(self):
         with pytest.raises(ValueError):
             cir.cphase(0.1, 2, 2)
-        with pytest.raises(ValueError):
-            cir.cswap(1, 1, 3)
 
     def test_remapped_shares_checked_matrix(self):
         g = cir.unitary2(haar_unitary(4, np.random.default_rng(2)), 0, 1)
@@ -78,7 +75,7 @@ class TestGate:
     def test_dagger(self):
         rng = np.random.default_rng(1)
         for g in [cir.h(0), cir.phase(0.9, 0), cir.cphase(0.4, 0, 1),
-                  cir.unitary2(haar_unitary(4, rng), 0, 1), cir.cswap(0, 1, 2)]:
+                  cir.unitary2(haar_unitary(4, rng), 0, 1)]:
             u = g.full_matrix()
             assert np.allclose(g.dagger().full_matrix(), u.conj().T)
 
@@ -122,9 +119,11 @@ class TestDecompositions:
         assert np.abs(u - expect).max() < 1e-12
 
     def test_cswap_lowering_matches_native_kind(self):
-        lowered = dense.circuit_unitary(cir.Circuit(3, tuple(cir.cswap_gates(0, 1, 2))))
-        native = dense.circuit_unitary(cir.Circuit(3, (cir.cswap(0, 1, 2),)))
-        assert np.abs(lowered - native).max() < 1e-12
+        u = dense.circuit_unitary(cir.Circuit(3, tuple(cir.cswap_gates(0, 1, 2))))
+        expect = np.eye(8)
+        expect[[5, 6], [5, 6]] = 0
+        expect[5, 6] = expect[6, 5] = 1
+        assert np.abs(u - expect).max() < 1e-12
 
     def test_phi_adder_adds(self):
         m = 4
@@ -326,7 +325,6 @@ class TestSerialization:
             (
                 cir.unitary1(haar_unitary(2, rng), 2),
                 cir.unitary2(haar_unitary(4, rng), 0, 2),
-                cir.cswap(0, 1, 2),
             ),
         )
         back = cir.circuit_from_text(cir.circuit_to_text(circ))
@@ -338,3 +336,10 @@ class TestSerialization:
             cir.circuit_from_text("width 2\nFROB 0 1\n")
         with pytest.raises(ValueError):
             cir.circuit_from_text("H 0\n")
+
+    def test_three_qubit_kind_rejected(self):
+        # every gate touches at most two qubits; controlled swaps come from cswap_gates
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            cir.Gate("CSWAP", (0, 1, 2))
+        with pytest.raises(ValueError, match="cannot parse line"):
+            cir.circuit_from_text("width 3\nCSWAP 0 1 2\n")

@@ -55,8 +55,9 @@ def test_gate_application_matches_kron_oracle():
         cir.phase(0.71, 0),
         cir.cphase(1.2, 2, 0),
         cir.swap(0, 2),
-        cir.cswap(1, 0, 2),
+        *cir.cswap_gates(1, 0, 2),
         cir.cx(2, 1),
+        cir.unitary2(np.diag([1, 1, np.exp(0.4j), -1]), 1, 2),
         cir.unitary1(haar_unitary(2, rng), 1),
         cir.unitary2(haar_unitary(4, rng), 2, 0),
     ]

@@ -120,7 +120,7 @@ class TestApply2q:
 
 class TestApplyGate:
     @pytest.mark.parametrize(
-        "gate", [cir.cx(0, 5), cir.h(4), cir.cswap(0, 1, 3)], ids=["cx-0-5", "h-4", "cswap-0-1-3"]
+        "gate", [cir.cx(0, 5), cir.h(4), cir.cphase(0.3, 3, 0)], ids=["cx-0-5", "h-4", "cphase-3-0"]
     )
     def test_out_of_range_target_leaves_state_untouched(self, gate):
         state = mps.init_state(3)
@@ -153,7 +153,7 @@ class TestRunCircuit:
             mps.run_circuit(mps.init_state(3), cir.qft_circuit(4))
 
     def test_cswap_kind_handled(self):
-        circ = cir.Circuit(3, (cir.x(0), cir.x(2), cir.cswap(0, 1, 2)))
+        circ = cir.Circuit(3, (cir.x(0), cir.x(2), *cir.cswap_gates(0, 1, 2)))
         state = mps.init_state(3)
         mps.run_circuit(state, circ)
         assert abs(mps.amplitude(state, "110")) == pytest.approx(1, abs=1e-12)
@@ -192,14 +192,14 @@ class TestRunCircuit:
 
     @pytest.mark.parametrize("chi_max", [3, 64])
     def test_peak_elements_match_full_walk(self, chi_max):
-        # controlled swaps whose third target lies outside the first two, on a
-        # lightly entangled chain, then distant and reversed Haar gates:
-        # peak_elements is tracked over the span each gate touches and must
-        # equal a walk of the whole chain after every gate
+        # lowered controlled swaps on a lightly entangled chain, then distant
+        # and reversed Haar gates: peak_elements is tracked over the span each
+        # gate touches and must equal a walk of the whole chain after every gate
         rng = np.random.default_rng(5)
         gates = [cir.h(q) for q in range(9)]
-        gates += [cir.cswap(0, 1, 8), cir.cswap(7, 2, 4), cir.cphase(0.7, 8, 3), cir.cswap(5, 8, 0)]
-        gates += [cir.unitary2(haar_unitary(4, rng), 6, 1), cir.cswap(3, 0, 6)]
+        gates += [*cir.cswap_gates(0, 1, 8), *cir.cswap_gates(7, 2, 4), cir.cphase(0.7, 8, 3)]
+        gates += [*cir.cswap_gates(5, 8, 0), cir.unitary2(haar_unitary(4, rng), 6, 1)]
+        gates += cir.cswap_gates(3, 0, 6)
         gates += random_circuit(9, 12, seed=17).gates
         circ = cir.Circuit(9, tuple(gates))
         policy = mps.TruncationPolicy(chi_max=chi_max)

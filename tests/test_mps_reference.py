@@ -193,7 +193,7 @@ def test_first_bond_step_matches_reference(gate):
     ref = state.copy()
     u4 = _SWAP4 if gate == "swap" else haar_unitary(4, rng)
     got_stats, ref_stats = mps.GateStats(), mps.GateStats()
-    mps._apply_2q_adjacent(state, None if gate == "swap" else u4, 0, got_stats)
+    mps._apply_2q_routed(state, None if gate == "swap" else u4, 0, 1, got_stats)
     reference_apply_2q_adjacent(ref, u4, 0, ref_stats)
     assert_states_close(state, ref)
     assert_stats_equal(got_stats, ref_stats)
@@ -258,7 +258,7 @@ def test_keep_rule_on_chosen_spectrum(chi_max, cut, keep):
     state, seen = chosen_spectrum_state(chi_max, cut)
     ref = state.copy()
     stats, ref_stats = mps.GateStats(), mps.GateStats()
-    mps._apply_2q_adjacent(state, np.eye(4, dtype=complex), 1, stats)
+    mps._apply_2q_routed(state, np.eye(4, dtype=complex), 1, 2, stats)
     reference_apply_2q_adjacent(ref, np.eye(4, dtype=complex), 1, ref_stats)
     assert state.lambdas[1].size == keep and stats.max_chi == keep
     assert state.tensors[1].shape == (4, 2, keep) and state.tensors[2].shape == (keep, 2, 4)
@@ -276,7 +276,7 @@ def test_keep_rule_drops_whole_spectrum_at_threshold():
     before = state.copy()
     stats = mps.GateStats()
     with pytest.raises(mps.TruncationError, match="all 8 Schmidt coefficients"):
-        mps._apply_2q_adjacent(state, np.eye(4, dtype=complex), 1, stats)
+        mps._apply_2q_routed(state, np.eye(4, dtype=complex), 1, 2, stats)
     assert_states_close(state, before, tol=0)
     assert stats == mps.GateStats()
 
@@ -309,7 +309,7 @@ def test_svd_fallback_to_scipy(monkeypatch):
     got_stats, ref_stats = mps.GateStats(), mps.GateStats()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mps._apply_2q_adjacent(state, u4, 1, got_stats)
+        mps._apply_2q_routed(state, u4, 1, 2, got_stats)
     reference_apply_2q_adjacent(ref, u4, 1, ref_stats)
     assert gesdd_calls == [(6, 4), (6, 4)]
     assert gesvd_calls == [((6, 4), "gesvd"), ((6, 4), "gesvd")]
