@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .mps import SimulationTimeout
+from .mps import GateStats, SimulationTimeout
 
 MAX_DENSE_QUBITS = 24
 
@@ -123,7 +123,8 @@ def dense_run(
     for i, g in enumerate(circ.gates):
         if deadline is not None and time.monotonic() > deadline:
             raise SimulationTimeout(
-                f"deadline expired after {i} of {len(circ.gates)} gates"
+                f"deadline expired after {i} of {len(circ.gates)} gates",
+                GateStats(gate_count=i),
             )
         _apply_gate(psi, g, n)
     return DenseState(n=n, amplitudes=psi.reshape(-1))

@@ -43,9 +43,18 @@ tail past values ``<= discard_threshold`` and then caps the count at
 ``chi_max``; the discarded weight and the norm of the kept spectrum
 are sums of squares over that list. ``GateStats`` counts every SVD
 step, the largest kept bond and the largest discarded weight of one
-step. Routing swaps are counted once per routed gate in
-``_apply_2q_routed``, ``2 * (hi - lo - 1)`` for targets ``lo < hi``,
-and an explicit ``SWAP`` gate adds one more in ``apply_gate``.
+step. ``_apply_2q_routed`` keeps these in locals over its walk and
+updates the caller's stats once per routed gate: ``2 * (hi - lo - 1)
++ 1`` SVD steps and ``2 * (hi - lo - 1)`` routing swaps for targets
+``lo < hi``. If a step raises, the steps that finished before it are
+still counted and the swaps are not. An explicit ``SWAP`` gate adds
+one more swap in ``apply_gate``. A step whose left bond has dimension
+1 skips the multiply by that bond's Schmidt vector, which is exactly
+``[1.0]``: ``init_state`` builds it so, and a step that keeps one
+value ``s0`` stores ``s0 / sqrt(s0 * s0)``, which is 1.0 in binary64.
+Multiplying by 1.0 changes no value of theta; it could only turn a
+``-0.0`` into ``+0.0``, and no such theta arose in the Shor runs
+(15, 4) and (33, 10), or (15, 7) at ``chi_max=2``.
 ``run_circuit`` tracks the total tensor size from the sizes of the
 span each two-qubit gate is routed across, which are the only
 tensors it changes.
@@ -74,7 +83,17 @@ class TruncationError(RuntimeError):
 
 
 class SimulationTimeout(RuntimeError):
-    """Raised when a cooperative deadline expires during gate application."""
+    """Raised when a cooperative deadline expires during gate application.
+
+    `stats` holds the GateStats of the gates completed before the
+    deadline; `timings` is filled with the phase seconds spent so far
+    by `pipeline.run_period_finding`.
+    """
+
+    def __init__(self, message: str, stats: GateStats | None = None):
+        super().__init__(message)
+        self.stats = stats if stats is not None else GateStats()
+        self.timings: dict[str, float] = {}
 
 
 @dataclass(frozen=True)
@@ -172,48 +191,56 @@ def _apply_2q_routed(
     chi_max, threshold = state.policy.chi_max, state.policy.discard_threshold
     gesdd = _gesdd
     top = hi - 1
-    for q in (*range(lo, top), *range(top, lo - 1, -1)):
-        bl, br = tensors[q], tensors[q + 1]
-        chi_l, chi_r = bl.shape[0], br.shape[2]
-        c = bl.reshape(2 * chi_l, -1).dot(br.reshape(-1, 2 * chi_r))  # ((chi_l, i), (j, chi_r))
-        if q != top or u4 is None:
-            c = c.reshape(chi_l, 2, 2, chi_r).transpose(0, 2, 1, 3).reshape(2 * chi_l, 2 * chi_r)
-        else:
-            c = np.matmul(u4, c.reshape(chi_l, 4, chi_r)).reshape(2 * chi_l, 2 * chi_r)
-        if q > 0:
-            theta = (c.reshape(chi_l, -1) * lambdas[q - 1][:, None]).reshape(2 * chi_l, -1)
-        else:
-            theta = c
-        _, s, vh = gesdd(theta, signature="D->DdD")
-        sl = s.tolist()  # descending
-        if sl[0] != sl[0]:  # gesdd failed, and the gufunc filled its outputs with NaN
-            _, s, vh = _gesvd(theta)
-            sl = s.tolist()
-        keep = len(sl)
-        while keep and sl[keep - 1] <= threshold:
-            keep -= 1
-        if keep == 0:
-            raise TruncationError(
-                f"all {len(sl)} Schmidt coefficients fall below {threshold} at bond {q}"
-            )
-        if keep > chi_max:
-            keep = chi_max
-        discarded = 0.0
-        if keep < len(sl):
-            discarded = math.fsum([x * x for x in sl[keep:]])
-            s, vh, sl = s[:keep], vh[:keep], sl[:keep]
-        nrm = math.sqrt(math.fsum([x * x for x in sl]))
-        lambdas[q] = s / nrm
-        tensors[q + 1] = vh.reshape(keep, 2, chi_r)
-        left = c.dot(vh.T.conj())
-        left /= nrm
-        tensors[q] = left.reshape(chi_l, 2, keep)
+    done, max_keep, max_discarded = 0, 0, 0.0
+    try:
+        for q in (*range(lo, top), *range(top, lo - 1, -1)):
+            bl, br = tensors[q], tensors[q + 1]
+            chi_l, chi_r = bl.shape[0], br.shape[2]
+            c = bl.reshape(2 * chi_l, -1).dot(br.reshape(-1, 2 * chi_r))  # ((chi_l, i), (j, chi_r))
+            if q != top or u4 is None:
+                c = c.reshape(chi_l, 2, 2, chi_r).transpose(0, 2, 1, 3).reshape(2 * chi_l, 2 * chi_r)
+            else:
+                c = np.matmul(u4, c.reshape(chi_l, 4, chi_r)).reshape(2 * chi_l, 2 * chi_r)
+            if chi_l == 1:  # the left bond holds exactly [1.0] (or there is none, at q = 0)
+                theta = c
+            else:
+                theta = (c.reshape(chi_l, -1) * lambdas[q - 1][:, None]).reshape(2 * chi_l, -1)
+            _, s, vh = gesdd(theta, signature="D->DdD")
+            sl = s.tolist()  # descending
+            if sl[0] != sl[0]:  # gesdd failed, and the gufunc filled its outputs with NaN
+                _, s, vh = _gesvd(theta)
+                sl = s.tolist()
+            keep = len(sl)
+            while keep and sl[keep - 1] <= threshold:
+                keep -= 1
+            if keep == 0:
+                raise TruncationError(
+                    f"all {len(sl)} Schmidt coefficients fall below {threshold} at bond {q}"
+                )
+            if keep > chi_max:
+                keep = chi_max
+            if keep < len(sl):
+                discarded = math.fsum([x * x for x in sl[keep:]])
+                if discarded > max_discarded:
+                    max_discarded = discarded
+                s, vh, sl = s[:keep], vh[:keep], sl[:keep]
+            nrm = math.sqrt(math.fsum([x * x for x in sl]))
+            lambdas[q] = s / nrm
+            tensors[q + 1] = vh.reshape(keep, 2, chi_r)
+            left = c.dot(vh.T.conj())
+            left /= nrm
+            tensors[q] = left.reshape(chi_l, 2, keep)
+            if keep > max_keep:
+                max_keep = keep
+            done += 1
+    finally:
+        # once per gate: the steps that finished, even if a later one raised
         if stats is not None:
-            stats.svd_count += 1
-            if keep > stats.max_chi:
-                stats.max_chi = keep
-            if discarded > stats.max_discarded_weight:
-                stats.max_discarded_weight = discarded
+            stats.svd_count += done
+            if max_keep > stats.max_chi:
+                stats.max_chi = max_keep
+            if max_discarded > stats.max_discarded_weight:
+                stats.max_discarded_weight = max_discarded
     if stats is not None:
         stats.swap_count += 2 * (hi - lo - 1)
 
@@ -262,7 +289,7 @@ def run_circuit(state: MpsState, circ: Circuit, deadline: float | None = None) -
 
     `deadline` is an absolute time.monotonic() instant checked before
     each gate; crossing it raises SimulationTimeout with the state left
-    at the last completed gate.
+    at the last completed gate and the statistics of the completed gates.
     """
     if circ.width != state.n:
         raise ValueError(f"circuit width {circ.width} != state size {state.n}")
@@ -272,7 +299,7 @@ def run_circuit(state: MpsState, circ: Circuit, deadline: float | None = None) -
     for g in circ.gates:
         if deadline is not None and time.monotonic() > deadline:
             raise SimulationTimeout(
-                f"deadline expired after {stats.gate_count} of {len(circ.gates)} gates"
+                f"deadline expired after {stats.gate_count} of {len(circ.gates)} gates", stats
             )
         if g.arity == 1:  # 1-qubit gates never change tensor shapes
             apply_gate(state, g, stats)

@@ -98,7 +98,9 @@ def run_period_finding(
 
     Returns (histogram of measured counting-register values, phase
     timings, gate statistics). Sampling time is folded into the
-    simulation phase.
+    simulation phase. A SimulationTimeout leaves with the phase timings
+    spent so far set on it, next to the statistics of the gates it
+    completed.
     """
     if math.gcd(a, n) != 1:
         raise ValueError(f"a={a} shares a factor with N={n}")
@@ -106,14 +108,21 @@ def run_period_finding(
     t0 = time.perf_counter()
     circ = shor_order_circuit(n, a)
     t1 = time.perf_counter()
-    if config.backend == "mps":
-        state = mps_mod.init_state(circ.width, config.truncation)
-        stats = mps_mod.run_circuit(state, circ, deadline=deadline)
-        counts = mps_mod.sample(state, circ.measured, config.shots, seed)
-    else:
-        st = dense_mod.dense_run(circ, deadline=deadline)
-        counts = dense_mod.dense_sample(st, circ.measured, config.shots, seed)
-        stats = GateStats(gate_count=len(circ.gates), max_chi=1)
+    try:
+        if config.backend == "mps":
+            state = mps_mod.init_state(circ.width, config.truncation)
+            stats = mps_mod.run_circuit(state, circ, deadline=deadline)
+            counts = mps_mod.sample(state, circ.measured, config.shots, seed)
+        else:
+            st = dense_mod.dense_run(circ, deadline=deadline)
+            counts = dense_mod.dense_sample(st, circ.measured, config.shots, seed)
+            stats = GateStats(gate_count=len(circ.gates), max_chi=1)
+    except SimulationTimeout as exc:
+        exc.timings = {
+            "circuit_build_seconds": t1 - t0,
+            "simulation_seconds": time.perf_counter() - t1,
+        }
+        raise
     t2 = time.perf_counter()
     hist = {int(bits, 2): c for bits, c in counts.items()}
     timings = {
@@ -189,15 +198,16 @@ def factor(n: int, config: RunConfig) -> FactorizationOutcome:
             hist, tms, st = run_period_finding(
                 n, a, config, deadline=deadline, sample_seed=seed_stream.randrange(1 << 62)
             )
-        except SimulationTimeout:
-            attempts.append(
-                AttemptRecord(a=a, path="quantum", rejection="timeout")
-            )
-            status = "timeout"
-            break
+        except SimulationTimeout as exc:
+            # the timed-out attempt's cost still counts
+            hist, tms, st = None, exc.timings, exc.stats
         for k, v in tms.items():
             timings[k] += v
         stats.merge(st)
+        if hist is None:
+            attempts.append(AttemptRecord(a=a, path="quantum", rejection="timeout"))
+            status = "timeout"
+            break
         t0 = time.perf_counter()
         order, fac, reason = postprocess(hist, a, n, t)
         timings["postprocess_seconds"] += time.perf_counter() - t0

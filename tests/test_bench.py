@@ -11,6 +11,7 @@ from mpshor import mps
 from mpshor.circuit import ORDERINGS, reorder_registers, shor_order_circuit
 from mpshor.mps import TruncationPolicy
 from mpshor.pipeline import RunConfig
+from util import clock_expiring_after
 
 
 def strip_volatile(record):
@@ -48,6 +49,14 @@ class TestBenchSweep:
     def test_timeout_recorded_not_fatal(self):
         records = bench.bench_sweep([15, 21], RunConfig(seed=0, timeout_seconds=1e-4))
         assert [r.status for r in records] == ["timeout", "timeout"]
+
+    def test_timeout_record_carries_attempt_cost(self, monkeypatch):
+        # the deadline expires after 300 gates of the first attempt
+        monkeypatch.setattr(mps, "time", clock_expiring_after(300))
+        (rec,) = bench.bench_sweep([15], RunConfig(seed=0))
+        assert rec.status == "timeout" and rec.a_used == 4
+        assert rec.circuit_build_seconds > 0 and rec.simulation_seconds > 0
+        assert rec.peak_chi == 2 and rec.swap_count > 0
 
     def test_invalid_target_recorded_as_exhausted(self, monkeypatch):
         # the sweep rejects an invalid target before any run, not as an exhausted row

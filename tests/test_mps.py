@@ -190,6 +190,42 @@ class TestRunCircuit:
         assert got == (2243, 11034, 9428, 2, 100)
         assert stats.max_discarded_weight == pytest.approx(0.5, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "case, chi_max",
+        [("random", 64), ("explicit-swaps", 64), ("shor-15-7", 2)],
+    )
+    def test_step_counts_match_circuit(self, case, chi_max):
+        # a gate on targets d apart costs 2(d-1) routing swaps and 2(d-1)+1 SVD steps;
+        # an explicit SWAP gate counts one swap more
+        if case == "random":
+            circ = random_circuit(8, 40, seed=7)
+        elif case == "explicit-swaps":
+            gates = (cir.h(0), cir.swap(0, 5), cir.cx(1, 4), cir.swap(6, 2), cir.swap(3, 4), cir.cphase(0.4, 6, 0))
+            circ = cir.Circuit(7, gates)
+        else:
+            circ = cir.shor_order_circuit(15, 7)
+        twoq = [g for g in circ.gates if g.arity == 2]
+        dist = [abs(g.targets[0] - g.targets[1]) for g in twoq]
+        stats = mps.run_circuit(mps.init_state(circ.width, mps.TruncationPolicy(chi_max=chi_max)), circ)
+        assert stats.gate_count == len(circ.gates)
+        assert stats.svd_count == sum(2 * (d - 1) + 1 for d in dist)
+        assert stats.swap_count == sum(2 * (d - 1) for d in dist) + sum(g.kind == "SWAP" for g in twoq)
+        assert max(dist) > 1 and stats.swap_count > 0
+
+    @pytest.mark.parametrize("n, a", [(15, 4), (21, 2), (15, 7)])
+    def test_unit_bonds_hold_exactly_one(self, n, a):
+        # a step on a bond of dimension 1 skips the multiply by its Schmidt vector,
+        # which is exact only because that vector is exactly [1.0]
+        circ = cir.shor_order_circuit(n, a)
+        state = mps.init_state(circ.width, mps.TruncationPolicy(chi_max=2))
+        units = 0
+        for g in circ.gates:
+            mps.apply_gate(state, g)
+            unit = [lam for lam in state.lambdas if lam.size == 1]
+            assert all(lam[0] == 1.0 for lam in unit)
+            units += len(unit)
+        assert units > 0
+
     @pytest.mark.parametrize("chi_max", [3, 64])
     def test_peak_elements_match_full_walk(self, chi_max):
         # lowered controlled swaps on a lightly entangled chain, then distant

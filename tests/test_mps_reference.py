@@ -281,6 +281,48 @@ def test_keep_rule_drops_whole_spectrum_at_threshold():
     assert stats == mps.GateStats()
 
 
+def test_truncation_error_mid_walk_keeps_finished_steps():
+    # the walk of a gate on (0, 3) steps on bonds 0, 1, 2, 1, 0; site 2 is zero,
+    # so the second step's theta is zero and nothing can be kept. The caller's
+    # stats count the one finished step and, as the walk did not complete, no swaps
+    rng = np.random.default_rng(9)
+    state = random_chain((1, 2, 2, 2, 1), rng, mps.TruncationPolicy())
+    state.tensors[2] = np.zeros((2, 2, 2), dtype=complex)
+    stats = mps.GateStats(gate_count=4, svd_count=10, swap_count=6)
+    with pytest.raises(mps.TruncationError, match="all 4 Schmidt coefficients .* at bond 1"):
+        mps._apply_2q_routed(state, haar_unitary(4, rng), 0, 3, stats)
+    assert stats == mps.GateStats(gate_count=4, svd_count=11, swap_count=6, max_chi=2)
+    assert state.lambdas[0].size == 2
+
+
+def failing_gesdd(calls):
+    """A gesdd stand-in that fails as the gufunc does, filling its outputs with NaN."""
+
+    def gesdd(m, signature):
+        calls.append(m.shape)
+        rows, cols = m.shape
+        p = min(rows, cols)
+        return np.full((rows, p), np.nan + 0j), np.full(p, np.nan), np.full((p, cols), np.nan + 0j)
+
+    return gesdd
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_unit_bonds_hold_exactly_one_after_a_step(monkeypatch, fallback):
+    # a product chain whose norm is not one: every step keeps one value s0 and
+    # stores s0 / sqrt(s0 * s0), which is exactly 1.0 on either SVD driver
+    rng = np.random.default_rng(4)
+    state = random_chain((1, 1, 1, 1), rng, mps.TruncationPolicy())
+    state.tensors[0] *= 0.7
+    gesdd_calls = []
+    if fallback:
+        monkeypatch.setattr(mps, "_gesdd", failing_gesdd(gesdd_calls))
+    u4 = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    mps._apply_2q_routed(state, u4, 0, 2, None)
+    assert len(gesdd_calls) == (3 if fallback else 0)
+    assert [lam.tolist() for lam in state.lambdas] == [[1.0], [1.0]]
+
+
 def test_svd_fallback_to_scipy(monkeypatch):
     # gesvd fixes the singular-vector phases differently from gesdd,
     # so the reference runs on the fallback too
@@ -290,21 +332,13 @@ def test_svd_fallback_to_scipy(monkeypatch):
     u4 = haar_unitary(4, rng)
 
     gesdd_calls, gesvd_calls = [], []
-
-    def failing_gesdd(m, signature):
-        # a failed gufunc call fills its outputs with NaN
-        gesdd_calls.append(m.shape)
-        rows, cols = m.shape
-        p = min(rows, cols)
-        return np.full((rows, p), np.nan + 0j), np.full(p, np.nan), np.full((p, cols), np.nan + 0j)
-
     real_svd = scipy.linalg.svd
 
     def spy_svd(m, **kwargs):
         gesvd_calls.append((m.shape, kwargs["lapack_driver"]))
         return real_svd(m, **kwargs)
 
-    monkeypatch.setattr(mps, "_gesdd", failing_gesdd)
+    monkeypatch.setattr(mps, "_gesdd", failing_gesdd(gesdd_calls))
     monkeypatch.setattr(scipy.linalg, "svd", spy_svd)
     got_stats, ref_stats = mps.GateStats(), mps.GateStats()
     with warnings.catch_warnings():

@@ -3,9 +3,13 @@ import random
 
 import pytest
 
+from mpshor import circuit as cir
+from mpshor import dense
+from mpshor import mps
 from mpshor import pipeline as pl
 from mpshor.mps import TruncationPolicy
 from mpshor.numthy import multiplicative_order
+from util import clock_expiring_after
 
 
 def classical_expectation(a, n):
@@ -176,6 +180,24 @@ class TestFactor:
         assert out.factors is None
         if out.attempts:
             assert out.attempts[-1].rejection == "timeout"
+
+    @pytest.mark.parametrize("backend, k", [("mps", 0), ("mps", 1), ("mps", 300), ("dense", 300)])
+    def test_timeout_keeps_cost_of_completed_gates(self, monkeypatch, backend, k):
+        # the simulator's deadline check passes for k gates and fails before gate k
+        monkeypatch.setattr(mps if backend == "mps" else dense, "time", clock_expiring_after(k))
+        out = pl.factor(15, pl.RunConfig(seed=0, backend=backend))
+        assert out.status == "timeout"
+        assert [(att.path, att.rejection) for att in out.attempts] == [("quantum", "timeout")]
+        circ = cir.shor_order_circuit(15, out.attempts[0].a)
+        if backend == "mps":
+            head = cir.Circuit(circ.width, circ.gates[:k])
+            expected = mps.run_circuit(mps.init_state(circ.width), head)
+        else:
+            expected = mps.GateStats(gate_count=k)
+        assert out.stats == expected
+        assert out.timings["circuit_build_seconds"] > 0
+        assert out.timings["simulation_seconds"] > 0
+        assert out.timings["postprocess_seconds"] == 0.0
 
     def test_rejects_invalid_n(self):
         for bad in (16, 17, 25, 105):

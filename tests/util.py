@@ -1,5 +1,9 @@
 """Shared helpers for the test suite."""
 
+import itertools
+import time
+from types import SimpleNamespace
+
 import numpy as np
 
 from mpshor import circuit as cir
@@ -30,3 +34,9 @@ def dft_matrix(n):
     dim = 1 << n
     grid = np.outer(np.arange(dim), np.arange(dim))
     return np.exp(2j * np.pi * grid / dim) / np.sqrt(dim)
+
+
+def clock_expiring_after(k):
+    """A `time` stand-in whose monotonic clock jumps past any deadline at its (k+1)-th read."""
+    reads = itertools.count()
+    return SimpleNamespace(monotonic=lambda: time.monotonic() + (0.0 if next(reads) < k else 1e9))
