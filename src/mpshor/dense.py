@@ -1,14 +1,27 @@
 """Dense statevector simulator, the brute-force reference backend.
 
-Kept deliberately simple: amplitudes live in one array of shape
-[2]*n (qubit 0 = most significant bit) and gates act by slice
-arithmetic. A hard cap of 24 qubits keeps memory desk-scale; this
-module exists to cross-validate the MPS engine and circuit builders,
-not to be fast.
+Amplitudes live in one complex vector of length 2**n (qubit 0 = most
+significant bit), and every gate updates that vector in place:
+
+* ``PHASE`` and ``CPHASE`` scale the slice whose targets are all 1;
+* ``X`` and ``SWAP`` exchange two slices;
+* a ``U2`` controlled on its first target mixes the two slices with
+  control 1 and leaves the other half alone;
+* any other gate mixes its two (one target) or four (two targets)
+  slices.
+
+Exchanges and mixes run over blocks of at most ``BLOCK`` amplitudes
+per slice, so their temporaries are a few blocks (at most six, 1.5 MiB)
+whatever n is: a run holds one vector plus that, 256 MiB plus 1.5 MiB
+at the 24-qubit cap. Each update takes the products and sums of the
+plain slice formula in its operand order, so the blocking changes no
+bit of the amplitudes. This module exists to cross-validate the MPS
+engine and circuit builders, not to be fast.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -33,53 +46,128 @@ class DenseState:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1):.2e}")
 
 
-def _slice(n: int, assignments) -> tuple:
-    idx: list = [slice(None)] * n
-    for q, v in assignments:
-        idx[q] = v
-    return tuple(idx)
+#: amplitudes per block of a gate update, a power of two so that all
+#: blocks of a view have one shape; 2**14 complex values take 256 KiB
+BLOCK = 1 << 14
 
 
-def _apply_controlled_block(psi: np.ndarray, v: np.ndarray, c: int, t: int, n: int):
-    """U = diag(I, v) on (control c, target t)."""
-    i10 = _slice(n, [(c, 1), (t, 0)])
-    i11 = _slice(n, [(c, 1), (t, 1)])
-    s0 = psi[i10].copy()
-    s1 = psi[i11]
-    psi[i10] = v[0, 0] * s0 + v[0, 1] * s1
-    psi[i11] = v[1, 0] * s0 + v[1, 1] * s1
+def _split(psi: np.ndarray, targets, n: int) -> np.ndarray:
+    """View of psi with one length-2 axis per target, first and in target order.
+
+    The other qubits are merged into the free axes that follow, in
+    memory order, so C order over them is memory order.
+    """
+    shape: list[int] = []
+    axis = {}
+    prev = 0
+    for q in sorted(targets):
+        shape += [1 << (q - prev), 2]
+        axis[q] = len(shape) - 1
+        prev = q + 1
+    shape.append(1 << (n - prev))
+    first = [axis[q] for q in targets]
+    rest = [a for a in range(len(shape)) if a not in first]
+    return psi.reshape(shape, copy=False).transpose(first + rest)
+
+
+def _loop_order(shape) -> list[int] | None:
+    """Axis order with the longest axis last, if the innermost axis holds 2.
+
+    numpy runs its inner loop over the innermost axis longer than 1,
+    and a loop over 2 amplitudes costs more in overhead than in
+    arithmetic. ufuncs called with ``order="C"`` on the view transposed
+    to this order loop over the long axis instead.
+    """
+    sizes = [d for d in shape if d > 1]
+    if not sizes or sizes[-1] > 2:
+        return None
+    ax = max(range(len(shape)), key=shape.__getitem__)
+    return [a for a in range(len(shape)) if a != ax] + [ax]
+
+
+def _blocks(*views: np.ndarray):
+    """Matching blocks of same-shape views, each at most BLOCK elements.
+
+    Blocks follow memory order: the innermost axes that fit whole, and
+    a run of the next axis out. A block then spans a compact stretch
+    of the amplitude vector, where cutting along a long outer axis
+    would touch many short rows that share cache sets.
+    """
+    shape = views[0].shape
+    cut = len(shape) - 1
+    while cut > 0 and math.prod(shape[cut:]) <= BLOCK:
+        cut -= 1
+    step = max(1, BLOCK // math.prod(shape[cut + 1 :]))
+    order = _loop_order((min(step, shape[cut]),) + shape[cut + 1 :])
+    for outer in np.ndindex(shape[:cut]):
+        for j in range(0, shape[cut], step):
+            idx = outer + (slice(j, j + step),)
+            if order is None:
+                yield [v[idx] for v in views]
+            else:
+                yield [v[idx].transpose(order) for v in views]
+
+
+def _exchange(a: np.ndarray, b: np.ndarray):
+    """Swap the contents of two same-shape views, block by block."""
+    tmp = None
+    for x, y in _blocks(a, b):
+        if tmp is None:
+            tmp = np.empty(x.shape, dtype=complex)
+        np.copyto(tmp, x)
+        np.copyto(x, y)
+        np.copyto(y, tmp)
+
+
+def _mix(u: np.ndarray, views: list[np.ndarray], terms: list[list[int]]):
+    """views[r] <- u[r, c0] * views[c0] + u[r, c1] * views[c1] + ... in place.
+
+    The sum runs over c in terms[r], left to right. Each block of the
+    old values is copied once, and every block reuses the same
+    len(views) + 2 scratch arrays.
+    """
+    scratch = None
+    for new in _blocks(*views):
+        if scratch is None:
+            scratch = [np.empty(new[0].shape, dtype=complex) for _ in range(len(views) + 2)]
+        *old, acc, tmp = scratch
+        for o, x in zip(old, new):
+            np.copyto(o, x)
+        for r, (first, *rest) in enumerate(terms):
+            np.multiply(u[r, first], old[first], out=acc if rest else new[r], order="C")
+            for i, c in enumerate(rest, 1):
+                np.multiply(u[r, c], old[c], out=tmp)
+                np.add(acc, tmp, out=acc if i < len(rest) else new[r], order="C")
 
 
 def _apply_gate(psi: np.ndarray, g: Gate, n: int):
-    ts = g.targets
-    if g.kind == "PHASE":
-        psi[_slice(n, [(ts[0], 1)])] *= np.exp(1j * g.angle)
-        return
-    if g.kind == "CPHASE":
-        psi[_slice(n, [(ts[0], 1), (ts[1], 1)])] *= np.exp(1j * g.angle)
+    """Apply one gate in place to psi, the 2**n amplitudes in one contiguous array.
+
+    Products and sums are those of the plain slice formula, with the
+    operands in its order: new[r] = u[r, 0] * old[0] + u[r, 1] * old[1]
+    for a 2 x 2 block, and for a general 4 x 4 matrix the same sum
+    without the terms after the first whose entry is 0. Blocking
+    therefore changes no bit of the result.
+    """
+    v = _split(psi, g.targets, n)
+    if g.kind in ("PHASE", "CPHASE"):
+        x = v[(1,) * g.arity]
+        order = _loop_order(x.shape)
+        if order is not None:
+            x = x.transpose(order)
+        np.multiply(x, np.exp(1j * g.angle), out=x, order="C")
         return
     if g.kind == "X":
-        i0, i1 = _slice(n, [(ts[0], 0)]), _slice(n, [(ts[0], 1)])
-        tmp = psi[i0].copy()
-        psi[i0] = psi[i1]
-        psi[i1] = tmp
+        _exchange(v[0], v[1])
         return
     if g.kind == "SWAP":
-        i01 = _slice(n, [(ts[0], 0), (ts[1], 1)])
-        i10 = _slice(n, [(ts[0], 1), (ts[1], 0)])
-        tmp = psi[i01].copy()
-        psi[i01] = psi[i10]
-        psi[i10] = tmp
+        _exchange(v[0, 1], v[1, 0])
         return
     u = g.full_matrix()
     if g.arity == 1:
-        i0, i1 = _slice(n, [(ts[0], 0)]), _slice(n, [(ts[0], 1)])
-        s0 = psi[i0].copy()
-        s1 = psi[i1]
-        psi[i0] = u[0, 0] * s0 + u[0, 1] * s1
-        psi[i1] = u[1, 0] * s0 + u[1, 1] * s1
+        _mix(u, [v[0], v[1]], [[0, 1], [0, 1]])
         return
-    # two-qubit unitary; controlled-on-first-qubit matrices get a cheap path
+    # controlled on the first target: only the control = 1 half changes
     if (
         u[0, 0] == 1
         and u[1, 1] == 1
@@ -88,15 +176,10 @@ def _apply_gate(psi: np.ndarray, g: Gate, n: int):
         and u[1, 0] == 0
         and not u[2:, :2].any()
     ):
-        _apply_controlled_block(psi, u[2:, 2:], ts[0], ts[1], n)
+        _mix(u[2:, 2:], [v[1, 0], v[1, 1]], [[0, 1], [0, 1]])
         return
-    blocks = [psi[_slice(n, [(ts[0], i), (ts[1], j)])].copy() for i in (0, 1) for j in (0, 1)]
-    for r in range(4):
-        acc = u[r, 0] * blocks[0]
-        for c_ in range(1, 4):
-            if u[r, c_] != 0:
-                acc = acc + u[r, c_] * blocks[c_]
-        psi[_slice(n, [(ts[0], r >> 1), (ts[1], r & 1)])] = acc
+    terms = [[0] + [c for c in (1, 2, 3) if u[r, c] != 0] for r in range(4)]
+    _mix(u, [v[r >> 1, r & 1] for r in range(4)], terms)
 
 
 def dense_run(
@@ -113,13 +196,12 @@ def dense_run(
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense backend capped at {MAX_DENSE_QUBITS} qubits, got {n}")
     if isinstance(initial, np.ndarray):
-        vec = initial.astype(complex).copy()
-        if vec.shape != (1 << n,):
+        if initial.shape != (1 << n,):
             raise ValueError("initial vector has wrong length")
+        psi = np.array(initial, dtype=complex)
     else:
-        vec = np.zeros(1 << n, dtype=complex)
-        vec[0 if initial is None else int(initial)] = 1.0
-    psi = vec.reshape([2] * n)
+        psi = np.zeros(1 << n, dtype=complex)
+        psi[0 if initial is None else int(initial)] = 1.0
     for i, g in enumerate(circ.gates):
         if deadline is not None and time.monotonic() > deadline:
             raise SimulationTimeout(
@@ -127,7 +209,7 @@ def dense_run(
                 GateStats(gate_count=i),
             )
         _apply_gate(psi, g, n)
-    return DenseState(n=n, amplitudes=psi.reshape(-1))
+    return DenseState(n=n, amplitudes=psi)
 
 
 def circuit_unitary(circ: Circuit, max_qubits: int = 12) -> np.ndarray:
@@ -167,7 +249,8 @@ def dense_sample(state: DenseState, qubits, shots: int, seed: int) -> dict[str, 
     n = state.n
     if any(q < 0 or q >= n for q in qubits):
         raise ValueError("qubit index out of range")
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state.amplitudes)
+    np.square(probs, out=probs)
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
     outcomes = rng.choice(probs.size, size=shots, p=probs)

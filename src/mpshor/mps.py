@@ -335,14 +335,24 @@ def state_norm(state: MpsState) -> float:
 
 
 def to_statevector(state: MpsState) -> np.ndarray:
-    """Full amplitude vector, qubit 0 = most significant bit; n <= 24."""
+    """Full amplitude vector, qubit 0 = most significant bit; n <= 24.
+
+    The chain is cut at its middle bond m = n // 2. Sites 0..m-1
+    contract to a 2^m x chi matrix and sites m..n-1 to a chi x 2^(n-m)
+    matrix, where chi is that bond's dimension, and one matmul joins
+    them. The 2^n result is the only array of that size; the two halves
+    hold 2^12 x chi elements or fewer.
+    """
     if state.n > 24:
         raise ValueError(f"statevector export capped at 24 qubits, got {state.n}")
-    acc = np.ones((1, 1), dtype=complex)
-    for b in state.tensors:
-        acc = np.tensordot(acc, b, axes=(1, 0))
-        acc = acc.reshape(acc.shape[0] * 2, acc.shape[2])
-    return acc.ravel()
+    m = state.n // 2
+    left = np.ones((1, 1), dtype=complex)
+    for b in state.tensors[:m]:
+        left = np.tensordot(left, b, axes=(1, 0)).reshape(-1, b.shape[2])
+    right = np.ones((1, 1), dtype=complex)
+    for b in reversed(state.tensors[m:]):
+        right = np.tensordot(b, right, axes=(2, 0)).reshape(b.shape[0], -1)
+    return (left @ right).ravel()
 
 
 def bond_entropy(state: MpsState, cut: int) -> float:

@@ -98,9 +98,10 @@ def run_period_finding(
 
     Returns (histogram of measured counting-register values, phase
     timings, gate statistics). Sampling time is folded into the
-    simulation phase. A SimulationTimeout leaves with the phase timings
-    spent so far set on it, next to the statistics of the gates it
-    completed.
+    simulation phase. The deadline is checked before every gate and once
+    more before sampling. A SimulationTimeout leaves with the phase
+    timings spent so far set on it, next to the statistics of the gates
+    it completed: all of them when it expires before sampling.
     """
     if math.gcd(a, n) != 1:
         raise ValueError(f"a={a} shares a factor with N={n}")
@@ -112,11 +113,14 @@ def run_period_finding(
         if config.backend == "mps":
             state = mps_mod.init_state(circ.width, config.truncation)
             stats = mps_mod.run_circuit(state, circ, deadline=deadline)
-            counts = mps_mod.sample(state, circ.measured, config.shots, seed)
+            sample = mps_mod.sample
         else:
-            st = dense_mod.dense_run(circ, deadline=deadline)
-            counts = dense_mod.dense_sample(st, circ.measured, config.shots, seed)
+            state = dense_mod.dense_run(circ, deadline=deadline)
             stats = GateStats(gate_count=len(circ.gates), max_chi=1)
+            sample = dense_mod.dense_sample
+        if deadline is not None and time.monotonic() > deadline:
+            raise SimulationTimeout("deadline expired before sampling", stats)
+        counts = sample(state, circ.measured, config.shots, seed)
     except SimulationTimeout as exc:
         exc.timings = {
             "circuit_build_seconds": t1 - t0,

@@ -199,6 +199,27 @@ class TestFactor:
         assert out.timings["simulation_seconds"] > 0
         assert out.timings["postprocess_seconds"] == 0.0
 
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    def test_deadline_between_last_gate_and_sampling_times_out(self, monkeypatch, backend):
+        # factor() reads the clock twice before the attempt, then the
+        # simulator once per gate; the next read, before sampling, is past the deadline
+        circ = cir.shor_order_circuit(15, 4)
+        clock = clock_expiring_after(2 + len(circ.gates))
+        monkeypatch.setattr(pl, "time", clock)
+        monkeypatch.setattr(mps if backend == "mps" else dense, "time", clock)
+        out = pl.factor(15, pl.RunConfig(seed=0, backend=backend))
+        assert out.status == "timeout"
+        attempts = [(att.a, att.path, att.rejection) for att in out.attempts]
+        assert attempts == [(4, "quantum", "timeout")]
+        if backend == "mps":
+            expected = mps.run_circuit(mps.init_state(circ.width), circ)
+        else:
+            expected = mps.GateStats(gate_count=len(circ.gates), max_chi=1)
+        assert out.stats == expected
+        assert out.timings["circuit_build_seconds"] > 0
+        assert out.timings["simulation_seconds"] > 0
+        assert out.timings["postprocess_seconds"] == 0.0
+
     def test_rejects_invalid_n(self):
         for bad in (16, 17, 25, 105):
             with pytest.raises(ValueError):

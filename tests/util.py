@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +38,28 @@ def dft_matrix(n):
 
 
 def clock_expiring_after(k):
-    """A `time` stand-in whose monotonic clock jumps past any deadline at its (k+1)-th read."""
+    """A `time` stand-in whose monotonic clock jumps past any deadline at its (k+1)-th read.
+
+    Its perf_counter is the real one, so phase timings stay real.
+    """
     reads = itertools.count()
-    return SimpleNamespace(monotonic=lambda: time.monotonic() + (0.0 if next(reads) < k else 1e9))
+    return SimpleNamespace(
+        monotonic=lambda: time.monotonic() + (0.0 if next(reads) < k else 1e9),
+        perf_counter=time.perf_counter,
+    )
+
+
+def traced_peak(fn):
+    """Call fn() under tracemalloc; return (its result, the peak bytes it held at once).
+
+    numpy reports its array buffers to tracemalloc, so the peak counts
+    the arrays fn allocates, its result included.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
