@@ -158,15 +158,12 @@ class HistogramReport:
 
 
 def histogram_report(
-    n: int, a: int, shots: int, backend: str = "mps", seed: int = 0,
+    n: int, a: int, shots: int, seed: int = 0,
     truncation: mps_mod.TruncationPolicy | None = None,
 ) -> HistogramReport:
-    """Measured counting-register histogram plus the ideal peak positions."""
+    """Counting-register histogram of an MPS run plus the ideal peak positions."""
     cfg = RunConfig(
-        shots=shots,
-        backend=backend,
-        seed=seed,
-        truncation=truncation or mps_mod.TruncationPolicy(),
+        shots=shots, seed=seed, truncation=truncation or mps_mod.TruncationPolicy()
     )
     hist, _, _ = run_period_finding(n, a, cfg)
     r = multiplicative_order(a, n)
@@ -217,8 +214,8 @@ def entropy_report(
     """Register-boundary entanglement at every checkpoint, per ordering.
 
     Builds the order-finding circuit once, relabels it into each
-    register ordering with `reorder_registers`, and simulates each on
-    the MPS backend, recording the bond entropy at the two register
+    register ordering with `reorder_registers`, and simulates each with
+    the MPS engine, recording the bond entropy at the two register
     boundary cuts after state preparation, after each controlled
     multiplier block, and after the final inverse Fourier transform.
     Each segment between checkpoints runs through `mps.run_circuit`.

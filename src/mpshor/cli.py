@@ -31,7 +31,6 @@ def _add_run_options(p: argparse.ArgumentParser):
         "--timeout-seconds", type=float, default=10_000.0, help="wall-clock budget per run"
     )
     p.add_argument("--mode", choices=pl.MODES, default="preselected")
-    p.add_argument("--backend", choices=pl.BACKENDS, default="mps")
     p.add_argument("--chi-max", type=int, default=64, help="bond dimension cap")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-attempts", type=int, default=16)
@@ -68,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("a", type=int)
     p.add_argument("--shots", type=int, default=8)
-    p.add_argument("--backend", choices=pl.BACKENDS, default="mps")
     p.add_argument("--chi-max", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="FILE", help="write the table to FILE instead of stdout")
@@ -111,7 +109,6 @@ def _config_from_args(args) -> pl.RunConfig:
         mode=args.mode,
         shots=args.shots,
         max_attempts=args.max_attempts,
-        backend=args.backend,
         truncation=TruncationPolicy(chi_max=args.chi_max),
         seed=args.seed,
         timeout_seconds=args.timeout_seconds,
@@ -167,7 +164,6 @@ def _cmd_histogram(args) -> int:
         args.n,
         args.a,
         shots=args.shots,
-        backend=args.backend,
         seed=args.seed,
         truncation=TruncationPolicy(chi_max=args.chi_max),
     )

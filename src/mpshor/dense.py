@@ -1,4 +1,4 @@
-"""Dense statevector simulator, the brute-force reference backend.
+"""Dense statevector simulator, the test oracle for the MPS engine.
 
 Amplitudes live in one complex vector of length 2**n (qubit 0 = most
 significant bit), and every gate updates that vector in place:
@@ -16,19 +16,18 @@ whatever n is: a run holds one vector plus that, 256 MiB plus 1.5 MiB
 at the 24-qubit cap. Each update takes the products and sums of the
 plain slice formula in its operand order, so the blocking changes no
 bit of the amplitudes. This module exists to cross-validate the MPS
-engine and circuit builders, not to be fast.
+engine and circuit builders, not to be fast; the pipeline never runs
+it, and it does not import the engine it checks.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .mps import GateStats, SimulationTimeout
 
 MAX_DENSE_QUBITS = 24
 
@@ -182,32 +181,22 @@ def _apply_gate(psi: np.ndarray, g: Gate, n: int):
     _mix(u, [v[r >> 1, r & 1] for r in range(4)], terms)
 
 
-def dense_run(
-    circ: Circuit,
-    initial: int | np.ndarray | None = None,
-    deadline: float | None = None,
-) -> DenseState:
-    """Run a circuit exactly; `initial` is a basis index or a full vector.
-
-    `deadline` is an absolute time.monotonic() instant checked before
-    each gate, matching the MPS engine's cooperative timeout.
-    """
+def dense_run(circ: Circuit, initial: int | np.ndarray | None = None) -> DenseState:
+    """Run a circuit exactly; `initial` is a basis index in [0, 2**n) or a full vector."""
     n = circ.width
     if n > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense backend capped at {MAX_DENSE_QUBITS} qubits, got {n}")
+        raise ValueError(f"dense oracle capped at {MAX_DENSE_QUBITS} qubits, got {n}")
     if isinstance(initial, np.ndarray):
         if initial.shape != (1 << n,):
             raise ValueError("initial vector has wrong length")
         psi = np.array(initial, dtype=complex)
     else:
+        index = 0 if initial is None else int(initial)
+        if not 0 <= index < 1 << n:
+            raise ValueError(f"basis index {index} out of range for {n} qubits")
         psi = np.zeros(1 << n, dtype=complex)
-        psi[0 if initial is None else int(initial)] = 1.0
-    for i, g in enumerate(circ.gates):
-        if deadline is not None and time.monotonic() > deadline:
-            raise SimulationTimeout(
-                f"deadline expired after {i} of {len(circ.gates)} gates",
-                GateStats(gate_count=i),
-            )
+        psi[index] = 1.0
+    for g in circ.gates:
         _apply_gate(psi, g, n)
     return DenseState(n=n, amplitudes=psi)
 

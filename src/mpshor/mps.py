@@ -108,8 +108,10 @@ class TruncationPolicy:
             raise ValueError("discard_threshold must lie in [0, 1)")
 
 
-#: effectively untruncated evolution, for oracle comparisons
-EXACT_POLICY = TruncationPolicy(chi_max=1 << 20, discard_threshold=0.0)
+#: effectively untruncated evolution, for oracle comparisons; singular
+#: values at or below 1e-14, the rounding floor of a unit-norm spectrum,
+#: are noise and are dropped
+EXACT_POLICY = TruncationPolicy(chi_max=1 << 20, discard_threshold=1e-14)
 
 
 @dataclass

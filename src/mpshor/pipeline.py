@@ -1,10 +1,10 @@
 """End-to-end integer factorization via quantum order finding.
 
 One `factor()` call runs the classical loop: pick a base, try the gcd
-shortcut, otherwise build the order-finding circuit, simulate it on
-the configured backend, sample the counting register, extract an
-order candidate from each measured value by continued fractions, and
-derive factors from gcd(a^(r/2) +- 1, N). Bases are either sampled
+shortcut, otherwise build the order-finding circuit, simulate it with
+the MPS engine, sample the counting register, extract an order
+candidate from each measured value by continued fractions, and derive
+factors from gcd(a^(r/2) +- 1, N). Bases are either sampled
 uniformly or pre-selected so the order is exactly 2, which makes the
 measurement two-valued and lets a handful of shots suffice.
 
@@ -20,14 +20,12 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 
-from . import dense as dense_mod
 from . import mps as mps_mod
 from .circuit import shor_order_circuit
 from .mps import GateStats, SimulationTimeout, TruncationPolicy
 from .numthy import extract_order, preselect_base, semiprime_spec
 
 MODES = ("preselected", "random")
-BACKENDS = ("mps", "dense")
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,6 @@ class RunConfig:
     mode: str = "preselected"
     shots: int = 8
     max_attempts: int = 16
-    backend: str = "mps"
     truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
     seed: int = 0
     timeout_seconds: float = 10_000.0
@@ -43,8 +40,6 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if self.max_attempts < 1:
@@ -110,17 +105,11 @@ def run_period_finding(
     circ = shor_order_circuit(n, a)
     t1 = time.perf_counter()
     try:
-        if config.backend == "mps":
-            state = mps_mod.init_state(circ.width, config.truncation)
-            stats = mps_mod.run_circuit(state, circ, deadline=deadline)
-            sample = mps_mod.sample
-        else:
-            state = dense_mod.dense_run(circ, deadline=deadline)
-            stats = GateStats(gate_count=len(circ.gates), max_chi=1)
-            sample = dense_mod.dense_sample
+        state = mps_mod.init_state(circ.width, config.truncation)
+        stats = mps_mod.run_circuit(state, circ, deadline=deadline)
         if deadline is not None and time.monotonic() > deadline:
             raise SimulationTimeout("deadline expired before sampling", stats)
-        counts = sample(state, circ.measured, config.shots, seed)
+        counts = mps_mod.sample(state, circ.measured, config.shots, seed)
     except SimulationTimeout as exc:
         exc.timings = {
             "circuit_build_seconds": t1 - t0,

@@ -125,7 +125,7 @@ class TestRecordSerialization:
 
 class TestHistogramReport:
     def test_two_bins_for_preselected(self):
-        rep = bench.histogram_report(15, 4, shots=1024, backend="dense", seed=1)
+        rep = bench.histogram_report(15, 4, shots=1024, seed=1)
         assert set(rep.counts) == {0, 128}
         assert rep.expected_peaks == [0, 128]
         assert rep.order == 2
@@ -135,7 +135,7 @@ class TestHistogramReport:
         assert "128" in table and "ideal peaks" in table
 
     def test_mps_matches_dense_support(self):
-        rep = bench.histogram_report(15, 7, shots=512, backend="mps", seed=2)
+        rep = bench.histogram_report(15, 7, shots=512, seed=2)
         # order of 7 mod 15 is 4: ideal peaks at multiples of 64
         assert rep.order == 4
         assert rep.expected_peaks == [0, 64, 128, 192]
@@ -145,7 +145,7 @@ class TestHistogramReport:
         # order 6 does not divide 2^t, so mass clusters within +-1 of
         # the ideal peaks instead of hitting them exactly
         rep = bench.histogram_report(
-            21, 2, shots=2048, backend="mps", seed=3,
+            21, 2, shots=2048, seed=3,
             truncation=TruncationPolicy(chi_max=256),
         )
         assert rep.order == 6
@@ -289,15 +289,20 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "24"
 
     def test_histogram_table(self, capsys):
-        assert cli.cli_main(
-            ["histogram", "15", "4", "--shots", "64", "--backend", "dense"]
-        ) == 0
+        assert cli.cli_main(["histogram", "15", "4", "--shots", "64"]) == 0
         out = capsys.readouterr().out
         assert "ideal peaks" in out
 
     def test_histogram_rejects_output_flag(self):
         # histogram writes a table only; --out is its one output flag
         assert cli.cli_main(["histogram", "15", "4", "--output", "jsonl"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["factor", "15"], ["histogram", "15", "4"], ["bench", "15"]], ids=lambda v: v[0]
+    )
+    def test_backend_flag_is_usage_error(self, argv):
+        # the MPS engine is the only simulator; the dense oracle is for tests
+        assert cli.cli_main([*argv, "--backend", "mps"]) == 2
 
     def test_entropy_csv_out(self, tmp_path):
         out = tmp_path / "ent.csv"

@@ -36,6 +36,18 @@ def test_width_guard():
         dense.dense_run(cir.Circuit(25, ()))
 
 
+@pytest.mark.parametrize("index", [-1, 8, 1 << 20])
+def test_basis_index_out_of_range(index):
+    # a negative index would otherwise wrap around to the end of the vector
+    with pytest.raises(ValueError, match="out of range"):
+        dense.dense_run(cir.Circuit(3, ()), initial=index)
+
+
+def test_last_basis_index_accepted():
+    st = dense.dense_run(cir.Circuit(3, ()), initial=7)
+    assert st.amplitudes[7] == 1.0
+
+
 def test_norm_preserved_after_every_gate():
     circ = random_circuit(6, 25, seed=9)
     vec = np.zeros(64, dtype=complex)

@@ -434,6 +434,15 @@ class TestTruncation:
         assert mps.schmidt_number(state) <= 5
         assert stats.max_discarded_weight > 0
 
+    def test_exact_policy_drops_rounding_noise(self):
+        # (15, 7) needs chi 4; singular values at the rounding floor must not widen a bond
+        circ = cir.shor_order_circuit(15, 7)
+        state = mps.init_state(circ.width, mps.EXACT_POLICY)
+        stats = mps.run_circuit(state, circ)
+        assert stats.max_chi <= 4
+        ref = dense.dense_run(circ).amplitudes
+        assert np.abs(mps.to_statevector(state) - ref).max() < 1e-10
+
     def test_memory_proportionality(self):
         # storage stays within 2 * n * chi^2 elements at the recorded peak
         for n, seed in ((8, 3), (10, 4), (12, 5)):

@@ -174,6 +174,11 @@ def test_import_does_not_load_scipy():
     assert _loaded_on_import("scipy") == "False"
 
 
+def test_import_does_not_load_dense():
+    # the dense simulator is the test oracle; the pipeline never runs it
+    assert _loaded_on_import("mpshor.dense") == "False"
+
+
 def test_cf_expand_examples():
     e = cf_expand(512, 1024)
     assert e.partial_quotients == (0, 2)

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from mpshor import circuit as cir
-from mpshor import dense
 from mpshor import mps
 from mpshor import pipeline as pl
 from mpshor.mps import TruncationPolicy
@@ -45,13 +44,10 @@ class TestRunConfig:
         assert cfg.shots == 8
         assert cfg.timeout_seconds == 10_000.0
         assert cfg.mode == "preselected"
-        assert cfg.backend == "mps"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             pl.RunConfig(mode="psychic")
-        with pytest.raises(ValueError):
-            pl.RunConfig(backend="quantum_hardware")
         with pytest.raises(ValueError):
             pl.RunConfig(shots=0)
         with pytest.raises(ValueError):
@@ -65,12 +61,6 @@ class TestRunPeriodFinding:
         assert sum(hist.values()) == 32
         assert timings["simulation_seconds"] > 0
         assert stats.max_chi >= 2
-
-    def test_dense_backend_agrees(self):
-        hist, _, _ = pl.run_period_finding(
-            15, 4, pl.RunConfig(shots=32, seed=5, backend="dense")
-        )
-        assert set(hist) <= {0, 128}
 
     def test_rejects_common_factor(self):
         with pytest.raises(ValueError):
@@ -119,11 +109,6 @@ class TestFactor:
         assert (att.a, att.path, att.extracted_order) == (4, "quantum", 2)
         assert sum(att.measured.values()) == 8
         assert set(att.measured) <= {0, 128}
-
-    def test_preselected_15_dense_backend(self):
-        out = pl.factor(15, pl.RunConfig(seed=1, backend="dense"))
-        assert out.status == "success"
-        assert out.factors == (3, 5)
 
     def test_preselected_129(self):
         out = pl.factor(129, pl.RunConfig(seed=6))
@@ -181,41 +166,33 @@ class TestFactor:
         if out.attempts:
             assert out.attempts[-1].rejection == "timeout"
 
-    @pytest.mark.parametrize("backend, k", [("mps", 0), ("mps", 1), ("mps", 300), ("dense", 300)])
-    def test_timeout_keeps_cost_of_completed_gates(self, monkeypatch, backend, k):
-        # the simulator's deadline check passes for k gates and fails before gate k
-        monkeypatch.setattr(mps if backend == "mps" else dense, "time", clock_expiring_after(k))
-        out = pl.factor(15, pl.RunConfig(seed=0, backend=backend))
+    @pytest.mark.parametrize("k", [0, 1, 300], ids=lambda k: f"mps-{k}")
+    def test_timeout_keeps_cost_of_completed_gates(self, monkeypatch, k):
+        # the engine's deadline check passes for k gates and fails before gate k
+        monkeypatch.setattr(mps, "time", clock_expiring_after(k))
+        out = pl.factor(15, pl.RunConfig(seed=0))
         assert out.status == "timeout"
         assert [(att.path, att.rejection) for att in out.attempts] == [("quantum", "timeout")]
         circ = cir.shor_order_circuit(15, out.attempts[0].a)
-        if backend == "mps":
-            head = cir.Circuit(circ.width, circ.gates[:k])
-            expected = mps.run_circuit(mps.init_state(circ.width), head)
-        else:
-            expected = mps.GateStats(gate_count=k)
-        assert out.stats == expected
+        head = cir.Circuit(circ.width, circ.gates[:k])
+        assert out.stats == mps.run_circuit(mps.init_state(circ.width), head)
         assert out.timings["circuit_build_seconds"] > 0
         assert out.timings["simulation_seconds"] > 0
         assert out.timings["postprocess_seconds"] == 0.0
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
-    def test_deadline_between_last_gate_and_sampling_times_out(self, monkeypatch, backend):
+    @pytest.mark.parametrize("engine", [mps], ids=["mps"])
+    def test_deadline_between_last_gate_and_sampling_times_out(self, monkeypatch, engine):
         # factor() reads the clock twice before the attempt, then the
-        # simulator once per gate; the next read, before sampling, is past the deadline
+        # engine once per gate; the next read, before sampling, is past the deadline
         circ = cir.shor_order_circuit(15, 4)
         clock = clock_expiring_after(2 + len(circ.gates))
         monkeypatch.setattr(pl, "time", clock)
-        monkeypatch.setattr(mps if backend == "mps" else dense, "time", clock)
-        out = pl.factor(15, pl.RunConfig(seed=0, backend=backend))
+        monkeypatch.setattr(engine, "time", clock)
+        out = pl.factor(15, pl.RunConfig(seed=0))
         assert out.status == "timeout"
         attempts = [(att.a, att.path, att.rejection) for att in out.attempts]
         assert attempts == [(4, "quantum", "timeout")]
-        if backend == "mps":
-            expected = mps.run_circuit(mps.init_state(circ.width), circ)
-        else:
-            expected = mps.GateStats(gate_count=len(circ.gates), max_chi=1)
-        assert out.stats == expected
+        assert out.stats == engine.run_circuit(engine.init_state(circ.width), circ)
         assert out.timings["circuit_build_seconds"] > 0
         assert out.timings["simulation_seconds"] > 0
         assert out.timings["postprocess_seconds"] == 0.0
