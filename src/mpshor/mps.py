@@ -18,17 +18,20 @@ left tensor by projecting onto the kept right singular vectors.
 Two-qubit gates on non-adjacent qubits are routed to adjacency with
 swap steps and routed back, so the only entangling primitive is the
 adjacent-pair SVD update; a routed gate is one loop over its swap and
-gate steps. Each SVD step is one call to numpy's gufunc for LAPACK's
-divide-and-conquer driver ``zgesdd``, the kernel behind
-``np.linalg.svd``. If it fails, numpy warns of an invalid value and
-fills the outputs with NaN, and the step falls back to the slower
-``gesvd`` driver through scipy, which is used for nothing else and
-imported only then. The warning is left on: an ``np.errstate`` around
-each gate slowed whole runs by a few percent. A swap step, whether routing
-or an explicit ``SWAP`` gate, is the same update with the gate
-replaced by a transpose of the pair's two physical indices. A gate
-whose first (high-bit) target lies to the right of its second is
-applied as the gate with its rows and columns permuted by
+gate steps. A swap step, whether routing or an explicit ``SWAP`` gate,
+is the same update with the gate replaced by a transpose of the pair's
+two physical indices. A swap step of two ``(1, 2, 1)`` sites has the
+rank-1 theta = a (x) b: its SVD would keep the bond's exact ``[1.0]``
+and leave b/|b| and a/|a| up to a phase, so the two sites are
+exchanged and scaled to unit norm instead. Every other step is one
+call to numpy's gufunc for LAPACK's divide-and-conquer driver
+``zgesdd``, the kernel behind ``np.linalg.svd``. If it fails, numpy
+warns of an invalid value and fills the outputs with NaN, and the step
+falls back to the slower ``gesvd`` driver through scipy, which is used
+for nothing else and imported only then. The warning is left on: an
+``np.errstate`` around each gate slowed whole runs by a few percent.
+A gate whose first (high-bit) target lies to the right of its second
+is applied as the gate with its rows and columns permuted by
 ``[0, 2, 1, 3]``, which exchanges the two bits; ``CPHASE`` is symmetric
 in its two bits and is applied to its targets in chain order instead.
 Truncation keeps at most ``chi_max`` Schmidt coefficients, drops
@@ -41,23 +44,23 @@ The few singular values of a step are read into a Python list once
 (LAPACK returns them descending). The keep rule walks back from the
 tail past values ``<= discard_threshold`` and then caps the count at
 ``chi_max``; the discarded weight and the norm of the kept spectrum
-are sums of squares over that list. ``GateStats`` counts every SVD
-step, the largest kept bond and the largest discarded weight of one
-step. ``_apply_2q_routed`` keeps these in locals over its walk and
-updates the caller's stats once per routed gate: ``2 * (hi - lo - 1)
-+ 1`` SVD steps and ``2 * (hi - lo - 1)`` routing swaps for targets
-``lo < hi``. If a step raises, the steps that finished before it are
-still counted and the swaps are not. An explicit ``SWAP`` gate adds
-one more swap in ``apply_gate``. A step whose left bond has dimension
-1 skips the multiply by that bond's Schmidt vector, which is exactly
-``[1.0]``: ``init_state`` builds it so, and a step that keeps one
-value ``s0`` stores ``s0 / sqrt(s0 * s0)``, which is 1.0 in binary64.
-Multiplying by 1.0 changes no value of theta; it could only turn a
-``-0.0`` into ``+0.0``, and no such theta arose in the Shor runs
-(15, 4) and (33, 10), or (15, 7) at ``chi_max=2``.
-``run_circuit`` tracks the total tensor size from the sizes of the
-span each two-qubit gate is routed across, which are the only
-tensors it changes.
+are sums of squares over that list. ``GateStats`` counts every step
+of a walk, exchanges included, the largest kept bond and the largest
+discarded weight of one step. ``_apply_2q_routed`` keeps these in
+locals over its walk and updates the caller's stats once per routed
+gate: ``2 * (hi - lo - 1) + 1`` steps and ``2 * (hi - lo - 1)``
+routing swaps for targets ``lo < hi``. If a step raises, the steps
+that finished before it are still counted and the swaps are not. An
+explicit ``SWAP`` gate adds one more swap in ``apply_gate``. A step
+whose left bond has dimension 1 skips the multiply by that bond's
+Schmidt vector, which is exactly ``[1.0]``: ``init_state`` builds it
+so, and a step that keeps one value ``s0`` stores ``s0 / sqrt(s0 *
+s0)``, which is 1.0 in binary64. Multiplying by 1.0 changes no value
+of theta; it could only turn a ``-0.0`` into ``+0.0``, and no such
+theta arose in the Shor runs (15, 4) and (33, 10), or (15, 7) at
+``chi_max=2``. ``run_circuit`` tracks the total tensor size from the
+sizes of the span each two-qubit gate is routed across, which are the
+only tensors it changes.
 """
 
 from __future__ import annotations
@@ -198,6 +201,13 @@ def _apply_2q_routed(
         for q in (*range(lo, top), *range(top, lo - 1, -1)):
             bl, br = tensors[q], tensors[q + 1]
             chi_l, chi_r = bl.shape[0], br.shape[2]
+            if chi_l == chi_r == br.shape[0] == 1 and (q != top or u4 is None):
+                # a swap of two product sites: the exchange below is the SVD step's closed form
+                (a0, a1), (b0, b1) = bl.ravel().tolist(), br.ravel().tolist()
+                tensors[q] = br / math.sqrt(abs(b0) ** 2 + abs(b1) ** 2)
+                tensors[q + 1] = bl / math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
+                done += 1
+                continue
             c = bl.reshape(2 * chi_l, -1).dot(br.reshape(-1, 2 * chi_r))  # ((chi_l, i), (j, chi_r))
             if q != top or u4 is None:
                 c = c.reshape(chi_l, 2, 2, chi_r).transpose(0, 2, 1, 3).reshape(2 * chi_l, 2 * chi_r)
@@ -321,6 +331,8 @@ def amplitude(state: MpsState, bits) -> complex:
     """Coefficient of one computational basis string (chain contraction)."""
     if len(bits) != state.n:
         raise ValueError(f"need {state.n} bits, got {len(bits)}")
+    if any(bit not in (0, 1, "0", "1") for bit in bits):
+        raise ValueError(f"bits must be 0 or 1, got {bits!r}")
     v = np.ones(1, dtype=complex)
     for l, bit in enumerate(bits):
         v = v @ state.tensors[l][:, int(bit), :]

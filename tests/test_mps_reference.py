@@ -12,7 +12,7 @@ import scipy.linalg
 
 from mpshor import circuit as cir
 from mpshor import mps
-from util import haar_unitary, random_circuit
+from util import haar_unitary, random_circuit, spy_gesdd
 
 _SWAP4 = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -221,6 +221,44 @@ def test_routed_circuit_matches_reference(chi_max):
         assert got_stats.max_discarded_weight > 0
 
 
+PRODUCT_WALKS = {
+    # gate, kernel calls: a swap of two product sites calls no kernel; the gate step
+    # always does, and an entangling gate leaves every step back to lo entangled
+    "cphase": (lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 1, 4), 3),
+    "haar": (lambda rng: cir.unitary2(haar_unitary(4, rng), 0, 3), 3),
+    "product_gate": (lambda rng: cir.unitary2(np.kron(haar_unitary(2, rng), haar_unitary(2, rng)), 0, 4), 1),
+    "swap": (lambda rng: cir.swap(0, 4), 0),
+    "reversed_haar": (lambda rng: cir.unitary2(haar_unitary(4, rng), 4, 1), 3),
+    "reversed_cphase": (lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 3, 0), 3),
+    "reversed_swap": (lambda rng: cir.swap(4, 1), 0),
+}
+
+
+@pytest.mark.parametrize("walk", list(PRODUCT_WALKS))
+@pytest.mark.parametrize("policy", ["default", "exact"])
+def test_product_site_exchange_matches_svd_step(monkeypatch, walk, policy):
+    # a product chain with one site of norm 0.7: the exchange keeps each site's phase
+    # where the SVD picks another, so compare statevectors, not tensors
+    rng = np.random.default_rng(list(PRODUCT_WALKS).index(walk))
+    state = random_chain((1,) * 6, rng, POLICIES[policy])
+    state.tensors[2] *= 0.7
+    ref = state.copy()
+    make_gate, kernel_calls = PRODUCT_WALKS[walk]
+    g = make_gate(rng)
+    gesdd_calls = spy_gesdd(monkeypatch)
+    got_stats, ref_stats = mps.GateStats(), mps.GateStats()
+    mps.apply_gate(state, g, got_stats)
+    assert len(gesdd_calls) == kernel_calls
+    if g.kind == "SWAP":
+        ref_stats.swap_count += 1
+    reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
+    assert_stats_equal(got_stats, ref_stats)
+    assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
+    for lam, ref_lam in zip(state.lambdas, ref.lambdas):
+        assert lam.shape == ref_lam.shape
+        assert np.abs(lam - ref_lam).max() <= TOL
+
+
 SPECTRUM = np.array([0.6, 0.5, 0.4, 0.3, 0.25, 0.2, 0.1, 0.05])
 
 
@@ -314,13 +352,17 @@ def test_unit_bonds_hold_exactly_one_after_a_step(monkeypatch, fallback):
     rng = np.random.default_rng(4)
     state = random_chain((1, 1, 1, 1), rng, mps.TruncationPolicy())
     state.tensors[0] *= 0.7
-    gesdd_calls = []
     if fallback:
+        gesdd_calls = []
         monkeypatch.setattr(mps, "_gesdd", failing_gesdd(gesdd_calls))
+    else:
+        gesdd_calls = spy_gesdd(monkeypatch)
     u4 = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
     mps._apply_2q_routed(state, u4, 0, 2, None)
-    assert len(gesdd_calls) == (3 if fallback else 0)
+    # both swap steps exchange product sites; only the gate step calls the kernel
+    assert len(gesdd_calls) == 1
     assert [lam.tolist() for lam in state.lambdas] == [[1.0], [1.0]]
+    assert [np.linalg.norm(t) for t in state.tensors] == pytest.approx([1.0] * 3, abs=1e-15)
 
 
 def test_svd_fallback_to_scipy(monkeypatch):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from mpshor import circuit as cir
+from mpshor import mps
 
 
 def haar_unitary(dim, rng):
@@ -63,3 +64,16 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def spy_gesdd(monkeypatch):
+    """Route mps._gesdd through a recorder; returns the list of theta shapes it is called on."""
+    calls = []
+    real = mps._gesdd
+
+    def gesdd(m, signature):
+        calls.append(m.shape)
+        return real(m, signature=signature)
+
+    monkeypatch.setattr(mps, "_gesdd", gesdd)
+    return calls
