@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpshor import circuit as cir
 from mpshor import dense
 from mpshor import mps
-from util import haar_unitary, random_circuit, spy_gesdd
+from util import assert_canonical, haar_unitary, random_circuit, spy_gesdd
 
 H = cir.h(0).full_matrix()
 X = cir.x(0).full_matrix()
@@ -194,13 +194,22 @@ class TestRunCircuit:
         got = (stats.gate_count, stats.svd_count, stats.swap_count, stats.max_chi, stats.peak_elements)
         assert got == counts
 
-    @pytest.mark.parametrize("n, a, steps, calls", [(15, 4, 5172, 3790), (33, 10, 18144, 12745)])
+    @pytest.mark.parametrize("n, a, steps, calls", [(15, 4, 5172, 3368), (33, 10, 18144, 11314)])
     def test_preselected_kernel_calls(self, monkeypatch, n, a, steps, calls):
-        # swap steps of two product sites exchange them without calling the SVD kernel
+        # swap steps past a product site exchange the two sites without calling the SVD kernel
         gesdd_calls = spy_gesdd(monkeypatch)
         circ = cir.shor_order_circuit(n, a)
         stats = mps.run_circuit(mps.init_state(circ.width), circ)
         assert (stats.svd_count, len(gesdd_calls)) == (steps, calls)
+
+    @pytest.mark.parametrize("n, a", [(15, 4), (33, 10)])
+    def test_preselected_end_state_is_canonical(self, n, a):
+        # the exchange moves a Schmidt vector without recomputing it, which is exact only on a
+        # canonical chain: the runs must leave one behind
+        circ = cir.shor_order_circuit(n, a)
+        state = mps.init_state(circ.width, mps.EXACT_POLICY)
+        mps.run_circuit(state, circ)
+        assert_canonical(state, 1e-12)
 
     def test_truncating_step_counts(self):
         # a random-base run capped at chi 2: the cap drops half the weight at the worst cut.

@@ -12,7 +12,7 @@ import scipy.linalg
 
 from mpshor import circuit as cir
 from mpshor import mps
-from util import haar_unitary, random_circuit, spy_gesdd
+from util import assert_canonical, haar_unitary, random_circuit, spy_gesdd
 
 _SWAP4 = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -221,15 +221,35 @@ def test_routed_circuit_matches_reference(chi_max):
         assert got_stats.max_discarded_weight > 0
 
 
+@pytest.mark.parametrize("policy", ["default", "chi3"])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("chi_l", DIMS)
+@pytest.mark.parametrize("chi_r", DIMS)
+def test_routed_cphase_matches_reference(chi_l, chi_r, d, reverse, policy):
+    # the gate step multiplies theta's |11> quarter by the phase; the reference applies
+    # the 4x4 matrix. Inner bonds of 3 leave no product site on the walk
+    rng = np.random.default_rng(1000 * chi_l + 10 * chi_r + d)
+    state = random_chain((1, chi_l, *[3] * d, chi_r, 1), rng, POLICIES[policy])
+    ref = state.copy()
+    targets = (1 + d, 1) if reverse else (1, 1 + d)
+    g = cir.cphase(float(rng.uniform(0, 2 * np.pi)), *targets)
+    got_stats, ref_stats = mps.GateStats(), mps.GateStats()
+    mps.apply_gate(state, g, got_stats)
+    reference_apply_2q_routed(ref, g.full_matrix(), *targets, ref_stats)
+    assert_states_close(state, ref)
+    assert_stats_equal(got_stats, ref_stats)
+
+
 PRODUCT_WALKS = {
-    # gate, kernel calls: a swap of two product sites calls no kernel; the gate step
-    # always does, and an entangling gate leaves every step back to lo entangled
-    "cphase": (lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 1, 4), 3),
-    "haar": (lambda rng: cir.unitary2(haar_unitary(4, rng), 0, 3), 3),
+    # gate, kernel calls: only the gate step calls the kernel. Every swap step passes a
+    # product site, on the way back too, where the entangled pair passes product sites
+    "cphase": (lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 1, 4), 1),
+    "haar": (lambda rng: cir.unitary2(haar_unitary(4, rng), 0, 3), 1),
     "product_gate": (lambda rng: cir.unitary2(np.kron(haar_unitary(2, rng), haar_unitary(2, rng)), 0, 4), 1),
     "swap": (lambda rng: cir.swap(0, 4), 0),
-    "reversed_haar": (lambda rng: cir.unitary2(haar_unitary(4, rng), 4, 1), 3),
-    "reversed_cphase": (lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 3, 0), 3),
+    "reversed_haar": (lambda rng: cir.unitary2(haar_unitary(4, rng), 4, 1), 1),
+    "reversed_cphase": (lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 3, 0), 1),
     "reversed_swap": (lambda rng: cir.swap(4, 1), 0),
 }
 
@@ -257,6 +277,72 @@ def test_product_site_exchange_matches_svd_step(monkeypatch, walk, policy):
     for lam, ref_lam in zip(state.lambdas, ref.lambdas):
         assert lam.shape == ref_lam.shape
         assert np.abs(lam - ref_lam).max() <= TOL
+
+
+def canonical_chain(pairs, policy, rng):
+    """Six sites in Haar product states, then a Haar gate on each pair (q, q+1): a canonical chain."""
+    state = mps.init_state(6, policy)
+    for q in range(6):
+        mps.apply_gate(state, cir.unitary1(haar_unitary(2, rng), q))
+    for q in pairs:
+        mps.apply_gate(state, cir.unitary2(haar_unitary(4, rng), q, q + 1))
+    return state
+
+
+CANONICAL_WALKS = {
+    # entangled pairs, walked targets. The carried product site 2 passes the pair (3, 4)
+    "left_of_pair": ((0, 3), (2, 5)),
+    # site 1 of the pair (0, 1) passes the product sites 2, 3 (and 4 for a SWAP)
+    "right_of_pair": ((0,), (1, 4)),
+    # site 3 of the pair (2, 3) passes the product site 4, and a SWAP the last site too
+    "next_to_last": ((2,), (3, 5)),
+    # the product site 0 passes the pair (1, 2)
+    "at_first_site": ((1, 4), (0, 3)),
+}
+
+
+@pytest.mark.parametrize("policy", ["default", "exact"])
+@pytest.mark.parametrize("gate", ["swap", "cphase"])
+@pytest.mark.parametrize("chain", list(CANONICAL_WALKS))
+def test_exchange_past_entangled_site_matches_svd_step(monkeypatch, chain, gate, policy):
+    # the exchange keeps the entangled site as it is, where the SVD picks another
+    # gauge, so compare statevectors and Schmidt vectors, not tensors
+    rng = np.random.default_rng(list(CANONICAL_WALKS).index(chain))
+    pairs, (q1, q2) = CANONICAL_WALKS[chain]
+    state = canonical_chain(pairs, POLICIES[policy], rng)
+    assert_canonical(state, TOL)
+    angle = float(rng.uniform(0, 2 * np.pi))
+    g = cir.swap(q1, q2) if gate == "swap" else cir.cphase(angle, q1, q2)
+    ref, by_step = state.copy(), state.copy()
+    got_stats, ref_stats = mps.GateStats(), mps.GateStats()
+    mps.apply_gate(state, g, got_stats)
+    if g.kind == "SWAP":
+        ref_stats.swap_count += 1
+    reference_apply_2q_routed(ref, g.full_matrix(), q1, q2, ref_stats)
+    assert_stats_equal(got_stats, ref_stats)
+    assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
+    for lam, ref_lam in zip(state.lambdas, ref.lambdas):
+        assert lam.shape == ref_lam.shape
+        assert np.abs(lam - ref_lam).max() <= TOL
+    assert_canonical(state, TOL)
+    # the same walk one step at a time: a swap step past a (1, 2, 1) site calls no kernel
+    # and leaves the chain canonical; every other step calls it once
+    gesdd_calls = spy_gesdd(monkeypatch)
+    exchanges = 0
+    top = q2 - 1
+    for q in (*range(q1, top), *range(top, q1 - 1, -1)):
+        swap_step = q != top or gate == "swap"
+        product = (1, 2, 1) in (by_step.tensors[q].shape, by_step.tensors[q + 1].shape)
+        calls = len(gesdd_calls)
+        mps.apply_gate(by_step, cir.swap(q, q + 1) if swap_step else cir.cphase(angle, q, q + 1))
+        if swap_step and product:
+            exchanges += 1
+            assert len(gesdd_calls) == calls
+            assert_canonical(by_step, TOL)
+        else:
+            assert len(gesdd_calls) == calls + 1
+    assert exchanges > 0
+    assert_states_close(by_step, state, tol=0)
 
 
 SPECTRUM = np.array([0.6, 0.5, 0.4, 0.3, 0.25, 0.2, 0.1, 0.05])

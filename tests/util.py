@@ -66,6 +66,22 @@ def traced_peak(fn):
     return result, peak
 
 
+def assert_canonical(state, tol):
+    """Assert the canonical chain gauge: right-isometric tensors and Schmidt-diagonal left Grams.
+
+    Every tensor (chi_l, 2, chi_r) must satisfy T T^dagger = I over its
+    (physical, right) indices, and the Gram matrix of the left block's
+    states at each bond l must equal diag(lambdas[l] ** 2).
+    """
+    gram = np.ones((1, 1), dtype=complex)
+    for l, t in enumerate(state.tensors):
+        m = t.reshape(t.shape[0], -1)
+        assert np.abs(m @ m.conj().T - np.eye(t.shape[0])).max() <= tol, f"site {l} is not right-isometric"
+        gram = np.einsum("ab,aic,bid->cd", gram, t.conj(), t)
+        want = np.diag(state.lambdas[l] ** 2) if l < state.n - 1 else np.ones((1, 1))
+        assert gram.shape == want.shape and np.abs(gram - want).max() <= tol, f"bond {l} Gram is not diag(lambda^2)"
+
+
 def spy_gesdd(monkeypatch):
     """Route mps._gesdd through a recorder; returns the list of theta shapes it is called on."""
     calls = []
