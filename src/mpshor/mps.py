@@ -26,21 +26,22 @@ product site a left of B ``(1, 2, chi)``, the step leaves B at q and
 a/|a| (x) I_chi at q+1, and moves ``lambdas[q+1]`` to bond q; for B
 ``(chi, 2, 1)`` left of a product site b, it leaves b/|b| (x) I_chi at
 q and B at q+1, and moves ``lambdas[q-1]``. The tensors hold the same
-state, and on a canonical chain, which every chain ``run_circuit``
-builds is, the moved vector is the spectrum the SVD would compute: one
-bond of B has dimension 1, so B is its own SVD with singular values
-that vector. Every other step is one call to numpy's gufunc for
-LAPACK's divide-and-conquer driver ``zgesdd``, the kernel behind
-``np.linalg.svd``. If it fails, numpy
+state, and on a canonical chain the moved vector is the spectrum the
+SVD would compute: one bond of B has dimension 1, so B is its own SVD
+with singular values that vector. A step that cuts a spectrum at
+``chi_max`` leaves tensors that are not isometries and vectors that
+are not their cut's spectrum, so it clears ``MpsState.canonical``, and
+from then on only two product sites are exchanged. Every other step is
+one call to numpy's gufunc for LAPACK's divide-and-conquer driver
+``zgesdd``, the kernel behind ``np.linalg.svd``. If it fails, numpy
 warns of an invalid value and fills the outputs with NaN, and the step
 falls back to the slower ``gesvd`` driver through scipy, which is used
 for nothing else and imported only then. The warning is left on: an
 ``np.errstate`` around each gate slowed whole runs by a few percent.
 A gate whose first (high-bit) target lies to the right of its second
 is applied as the gate with its rows and columns permuted by
-``[0, 2, 1, 3]``, which exchanges the two bits. A ``CPHASE`` step
-builds no matrix: it multiplies the |11> quarter of theta by the phase
-in place, which is symmetric in the two bits.
+``[0, 2, 1, 3]``, which exchanges the two bits; ``CPHASE`` is symmetric
+in its two bits and is applied to its targets in chain order instead.
 Truncation keeps at most ``chi_max`` Schmidt coefficients, drops
 coefficients at or below ``discard_threshold``, and renormalizes the
 spectrum.
@@ -51,10 +52,9 @@ The few singular values of a step are read into a Python list once
 (LAPACK returns them descending). The keep rule walks back from the
 tail past values ``<= discard_threshold`` and then caps the count at
 ``chi_max``; the discarded weight and the norm of the kept spectrum
-are sums of squares over that list; a step whose kept norm is exactly
-1.0 divides by nothing. ``GateStats`` counts every step of a walk,
-exchanges included, the largest kept bond, which for an exchange is
-the moved bond, and the largest discarded weight of one step.
+are sums of squares over that list. ``GateStats`` counts every step
+of a walk, exchanges included, the largest kept bond (for an exchange,
+the moved bond) and the largest discarded weight of one step.
 ``_apply_2q_routed`` keeps these in locals over its walk and updates
 the caller's stats once per routed gate: ``2 * (hi - lo - 1) + 1``
 steps and ``2 * (hi - lo - 1)`` routing swaps for targets ``lo < hi``.
@@ -74,7 +74,6 @@ only tensors it changes.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -153,14 +152,19 @@ class MpsState:
     tensors: list[np.ndarray]
     lambdas: list[np.ndarray]
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
+    #: every tensor right-isometric and every lambda its cut's exact spectrum;
+    #: cleared for good by the first step that cuts a spectrum at chi_max
+    canonical: bool = field(default=True, init=False)
 
     def copy(self) -> MpsState:
-        return MpsState(
+        new = MpsState(
             n=self.n,
             tensors=[t.copy() for t in self.tensors],
             lambdas=[l.copy() for l in self.lambdas],
             policy=self.policy,
         )
+        new.canonical = self.canonical
+        return new
 
     def element_count(self) -> int:
         return sum(t.size for t in self.tensors)
@@ -188,20 +192,19 @@ def _gesvd(m: np.ndarray):
 
 def _apply_2q_routed(
     state: MpsState,
-    u4: np.ndarray | complex | None,
+    u4: np.ndarray | None,
     q1: int,
     q2: int,
     stats: GateStats | None,
 ):
-    """Route (q1, q2) to adjacency with swaps, apply u4, and route back.
+    """Route (q1, q2) to adjacency with swaps, apply u4, and route back; u4=None is a SWAP.
 
     One SVD step on each pair (q, q+1) of the walk lo..hi-2, hi-1,
     hi-2..lo: the step on (hi-1, hi) applies u4 and every other step
-    swaps the pair. u4 is a 4x4 matrix, a complex phase on |11> (a
-    ``CPHASE``), or None (a ``SWAP``).
+    swaps the pair.
     """
     lo, hi = (q1, q2) if q1 < q2 else (q2, q1)
-    if q1 > q2 and isinstance(u4, np.ndarray):
+    if q1 > q2 and u4 is not None:
         u4 = u4[_REVERSE][:, _REVERSE]
     tensors, lambdas = state.tensors, state.lambdas
     chi_max, threshold = state.policy.chi_max, state.policy.discard_threshold
@@ -213,12 +216,12 @@ def _apply_2q_routed(
             bl, br = tensors[q], tensors[q + 1]
             chi_l, chi_r = bl.shape[0], br.shape[2]
             swap = q != top or u4 is None
-            if swap and br.shape[0] == 1 and (chi_l == 1 or chi_r == 1):
-                # a product site (1, 2, 1) passes its neighbour: the exchange is the step's closed form
-                if chi_l == 1:
-                    p, chi, lam = bl, chi_r, q + 1
-                else:
-                    p, chi, lam = br, chi_l, q - 1
+            product = swap and br.shape[0] == 1 and (chi_l == 1 or chi_r == 1)
+            if product and (chi_l == chi_r or state.canonical):
+                # a product site (1, 2, 1) passes its neighbour: the exchange is the step's closed form.
+                # Past an entangled site (chi_l != chi_r) it moves a Schmidt vector, exact only on a
+                # canonical chain
+                p, chi, lam = (bl, chi_r, q + 1) if chi_l == 1 else (br, chi_l, q - 1)
                 p0, p1 = p.ravel().tolist()
                 p = p / math.sqrt(abs(p0) ** 2 + abs(p1) ** 2)
                 if chi > 1:  # p (x) I_chi carries the neighbour's outer bond across
@@ -232,8 +235,6 @@ def _apply_2q_routed(
             c = bl.reshape(2 * chi_l, -1).dot(br.reshape(-1, 2 * chi_r))  # ((chi_l, i), (j, chi_r))
             if swap:
                 c = c.reshape(chi_l, 2, 2, chi_r).transpose(0, 2, 1, 3).reshape(2 * chi_l, 2 * chi_r)
-            elif isinstance(u4, complex):  # a CPHASE phase on |11>
-                c.reshape(chi_l, 4, chi_r)[:, 3] *= u4
             else:
                 c = np.matmul(u4, c.reshape(chi_l, 4, chi_r)).reshape(2 * chi_l, 2 * chi_r)
             if chi_l == 1:  # the left bond holds exactly [1.0] (or there is none, at q = 0)
@@ -254,18 +255,17 @@ def _apply_2q_routed(
                 )
             if keep > chi_max:
                 keep = chi_max
+                state.canonical = False
             if keep < len(sl):
                 discarded = math.fsum([x * x for x in sl[keep:]])
                 if discarded > max_discarded:
                     max_discarded = discarded
                 s, vh, sl = s[:keep], vh[:keep], sl[:keep]
             nrm = math.sqrt(math.fsum([x * x for x in sl]))
-            left = c.dot(vh.T.conj())
-            if nrm != 1.0:
-                s = s / nrm
-                left /= nrm
-            lambdas[q] = s
+            lambdas[q] = s / nrm
             tensors[q + 1] = vh.reshape(keep, 2, chi_r)
+            left = c.dot(vh.T.conj())
+            left /= nrm
             tensors[q] = left.reshape(chi_l, 2, keep)
             if keep > max_keep:
                 max_keep = keep
@@ -296,15 +296,17 @@ def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
         q = gate.targets[0]
         state.tensors[q] = gate.full_matrix() @ state.tensors[q]
         return
+    q1, q2 = gate.targets
     if gate.kind == "SWAP":
         u4 = None
         if stats is not None:
             stats.swap_count += 1
-    elif gate.kind == "CPHASE":
-        u4 = cmath.exp(1j * gate.angle)
     else:
         u4 = gate.full_matrix()
-    _apply_2q_routed(state, u4, *gate.targets, stats)
+        if gate.kind == "CPHASE" and q1 > q2:
+            # symmetric in its two bits, so it needs no reindexing for reversed targets
+            q1, q2 = q2, q1
+    _apply_2q_routed(state, u4, q1, q2, stats)
 
 
 def apply_1q(state: MpsState, u, q: int) -> MpsState:

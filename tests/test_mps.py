@@ -209,6 +209,7 @@ class TestRunCircuit:
         circ = cir.shor_order_circuit(n, a)
         state = mps.init_state(circ.width, mps.EXACT_POLICY)
         mps.run_circuit(state, circ)
+        assert state.canonical
         assert_canonical(state, 1e-12)
 
     def test_truncating_step_counts(self):

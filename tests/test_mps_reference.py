@@ -124,7 +124,9 @@ def random_chain(bonds, rng, policy):
     for d in bonds[1:-1]:
         lam = np.sort(rng.uniform(0.1, 1.0, d))[::-1]
         lambdas.append(lam / np.linalg.norm(lam))
-    return mps.MpsState(n=len(tensors), tensors=tensors, lambdas=lambdas, policy=policy)
+    state = mps.MpsState(n=len(tensors), tensors=tensors, lambdas=lambdas, policy=policy)
+    state.canonical = False
+    return state
 
 
 def assert_states_close(a, b, tol=TOL):
@@ -227,8 +229,8 @@ def test_routed_circuit_matches_reference(chi_max):
 @pytest.mark.parametrize("chi_l", DIMS)
 @pytest.mark.parametrize("chi_r", DIMS)
 def test_routed_cphase_matches_reference(chi_l, chi_r, d, reverse, policy):
-    # the gate step multiplies theta's |11> quarter by the phase; the reference applies
-    # the 4x4 matrix. Inner bonds of 3 leave no product site on the walk
+    # apply_gate walks a reversed CPHASE in chain order, as it is symmetric in its bits;
+    # the reference reindexes the 4x4 matrix. Inner bonds of 3 leave no product site on the walk
     rng = np.random.default_rng(1000 * chi_l + 10 * chi_r + d)
     state = random_chain((1, chi_l, *[3] * d, chi_r, 1), rng, POLICIES[policy])
     ref = state.copy()
@@ -262,6 +264,7 @@ def test_product_site_exchange_matches_svd_step(monkeypatch, walk, policy):
     rng = np.random.default_rng(list(PRODUCT_WALKS).index(walk))
     state = random_chain((1,) * 6, rng, POLICIES[policy])
     state.tensors[2] *= 0.7
+    state.canonical = True  # every bond holds exactly [1.0]; the steps divide out the site norms
     ref = state.copy()
     make_gate, kernel_calls = PRODUCT_WALKS[walk]
     g = make_gate(rng)
@@ -343,6 +346,47 @@ def test_exchange_past_entangled_site_matches_svd_step(monkeypatch, chain, gate,
             assert len(gesdd_calls) == calls + 1
     assert exchanges > 0
     assert_states_close(by_step, state, tol=0)
+
+
+def capped_gates(seed):
+    """Haar gates among 4 of 7 qubits, capped at chi 2, and swaps and product gates on any pair.
+
+    The swaps and product gates carry unentangled qubits past tensors
+    that a capped step left non-isometric.
+    """
+    rng = np.random.default_rng(seed)
+    active = [int(q) for q in rng.choice(7, 4, replace=False)]
+    for _ in range(24):
+        r = rng.random()
+        a, b = (int(q) for q in rng.choice(7, 2, replace=False))
+        if r < 0.4:
+            a, b = (int(q) for q in rng.choice(active, 2, replace=False))
+            yield cir.unitary2(haar_unitary(4, rng), a, b)
+        elif r < 0.7:
+            yield cir.swap(a, b)
+        else:
+            yield cir.unitary2(np.kron(haar_unitary(2, rng), haar_unitary(2, rng)), a, b)
+
+
+@pytest.mark.parametrize("seed", [15, 97, 154])
+def test_capped_chain_walks_match_svd_steps(seed):
+    # a cap leaves the chain non-canonical, so a moved Schmidt vector can differ from the
+    # spectrum an SVD step computes (by 0.09, or in size, at these seeds). After the first
+    # cap only two product sites exchange; every gate must still match the SVD steps
+    state = mps.init_state(7, mps.TruncationPolicy(chi_max=2))
+    for g in capped_gates(seed):
+        ref = state.copy()
+        got_stats, ref_stats = mps.GateStats(), mps.GateStats()
+        mps.apply_gate(state, g, got_stats)
+        if g.kind == "SWAP":
+            ref_stats.swap_count += 1
+        reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
+        assert_stats_equal(got_stats, ref_stats)
+        assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
+        for lam, ref_lam in zip(state.lambdas, ref.lambdas):
+            assert lam.shape == ref_lam.shape
+            assert np.abs(lam - ref_lam).max() <= TOL
+    assert not state.canonical
 
 
 SPECTRUM = np.array([0.6, 0.5, 0.4, 0.3, 0.25, 0.2, 0.1, 0.05])
