@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 
 from . import mps as mps_mod
-from .circuit import ORDERINGS, reorder_registers, shor_order_circuit
-from .numthy import SemiprimeSpec, multiplicative_order, semiprime_spec
+from .circuit import ORDERINGS, RegisterLayout, reorder_registers, shor_order_circuit
+from .numthy import SemiprimeSpec, generate_semiprimes, multiplicative_order, semiprime_spec
 from .pipeline import FactorizationOutcome, RunConfig, factor, run_period_finding
 
 
@@ -100,17 +100,12 @@ def records_from_csv(text: str) -> list[BenchRecord]:
 
 
 def records_to_jsonl(records) -> str:
+    """One JSON line per dataclass record (sweep rows, entropy reports): its fields, keys sorted."""
     return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records)
 
 
 def records_from_jsonl(text: str) -> list[BenchRecord]:
     return [BenchRecord(**json.loads(line)) for line in text.splitlines() if line.strip()]
-
-
-def _sweep_one(n: int, config: RunConfig) -> BenchRecord:
-    timestamp = datetime.now(timezone.utc).isoformat()
-    outcome = factor(n, config)
-    return record_from_outcome(outcome, config.mode, config.shots, config.seed, timestamp)
 
 
 def bench_sweep(
@@ -143,7 +138,12 @@ def bench_sweep(
         for j, mode in enumerate(modes):
             cfg = replace(config, mode=mode, seed=config.seed + 7919 * (i * len(modes) + j))
             jobs.append((n, cfg))
-    return [_sweep_one(n, cfg) for n, cfg in jobs]
+    records = []
+    for n, cfg in jobs:
+        timestamp = datetime.now(timezone.utc).isoformat()
+        outcome = factor(n, cfg)
+        records.append(record_from_outcome(outcome, cfg.mode, cfg.shots, cfg.seed, timestamp))
+    return records
 
 
 @dataclass
@@ -198,7 +198,7 @@ class EntropyReport:
     mean_entropy: float
 
     def __post_init__(self):
-        width = 4 * self.n_value.bit_length() + 2
+        width = RegisterLayout(self.n_value.bit_length()).width
         for label, cut, s in self.rows:
             if not -1e-12 <= s <= min(cut, width - cut) + 1e-9:
                 raise ValueError(f"entropy {s} out of bounds at {label} cut {cut}")
@@ -257,24 +257,6 @@ def entropy_reports_to_csv(reports) -> str:
     return buf.getvalue()
 
 
-def entropy_reports_to_jsonl(reports) -> str:
-    lines = []
-    for rep in reports:
-        lines.append(
-            json.dumps(
-                {
-                    "n_value": rep.n_value,
-                    "a": rep.a,
-                    "ordering": rep.ordering,
-                    "mean_entropy": rep.mean_entropy,
-                    "rows": [[label, cut, s] for label, cut, s in rep.rows],
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def format_entropy_summary(reports) -> str:
     lines = [f"{'ordering':<24} {'mean entropy (bits)':>20}"]
     for rep in sorted(reports, key=lambda r: -r.mean_entropy):
@@ -290,8 +272,6 @@ def resolve_targets(values, bits: str | None, count_per_bit: int, seed: int):
         return [semiprime_spec(int(v)).value for v in values]
     if bits:
         lo, _, hi = bits.partition(":")
-        from .numthy import generate_semiprimes
-
         specs = generate_semiprimes(int(lo), int(hi or lo), count_per_bit, seed)
         return [s.value for s in specs]
     raise ValueError("no targets given")

@@ -16,10 +16,7 @@ Serialization format (`circuit_to_text` / `circuit_from_text`), one
 record per line:
 
     width 18
-    register upper 0 1 2 ...
-    register lower ...
-    register ancilla ...
-    ordering upper-lower-ancilla
+    layout 4 upper-lower-ancilla
     measured 0 1 2 ...
     checkpoint prep 9
     H 0
@@ -29,6 +26,10 @@ record per line:
     SWAP 2 5
     U1 4 (0.707...+0j) ... (4 complex entries, row major)
     U2 2 3 (1+0j) ... (16 complex entries, row major)
+
+The optional `layout` header gives n and the register ordering, from
+which `RegisterLayout` derives every register's qubits; its width must
+equal `width`.
 """
 
 from __future__ import annotations
@@ -169,16 +170,11 @@ def cx(c: int, t: int) -> Gate:
     return Gate("U2", (c, t), matrix=_CX_MAT)
 
 
-def gates_close(a: Gate, b: Gate, tol: float = 0.0) -> bool:
-    if (a.kind, a.targets) != (b.kind, b.targets):
+def gates_close(a: Gate, b: Gate) -> bool:
+    """Same kind, targets, angle and matrix entries."""
+    if (a.kind, a.targets, a.angle) != (b.kind, b.targets, b.angle):
         return False
-    if a.angle is not None or b.angle is not None:
-        if a.angle is None or b.angle is None:
-            return False
-        return abs(a.angle - b.angle) <= tol
-    if a.matrix is not None or b.matrix is not None:
-        return np.abs(a.matrix - b.matrix).max() <= tol
-    return True
+    return a.matrix is None or np.array_equal(a.matrix, b.matrix)
 
 
 ORDERINGS = (
@@ -193,50 +189,41 @@ ORDERINGS = (
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Partition of the chain into counting/work/ancilla registers."""
+    """Counting (2n), work (n) and ancilla (n+2) registers, contiguous in `ordering`'s chain order."""
 
-    upper: tuple[int, ...]
-    lower: tuple[int, ...]
-    ancilla: tuple[int, ...]
-    ordering: str
+    n: int
+    ordering: str = "upper-lower-ancilla"
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be positive")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"unknown ordering {self.ordering!r}")
-        n = len(self.lower)
-        if len(self.upper) != 2 * n or len(self.ancilla) != n + 2:
-            raise ValueError("register sizes must be (2n, n, n+2)")
-        all_idx = self.upper + self.lower + self.ancilla
-        if sorted(all_idx) != list(range(4 * n + 2)):
-            raise ValueError("registers must partition [0, 4n+2)")
-        pos = 0
-        for name, block in self.blocks():
-            if list(block) != list(range(pos, pos + len(block))):
-                raise ValueError(f"register {name} not contiguous at position {pos}")
-            pos += len(block)
-
-    @classmethod
-    def for_bits(cls, n: int, ordering: str = "upper-lower-ancilla") -> RegisterLayout:
-        if n < 1:
-            raise ValueError("n must be positive")
-        if ordering not in ORDERINGS:
-            raise ValueError(f"unknown ordering {ordering!r}")
-        sizes = {"upper": 2 * n, "lower": n, "ancilla": n + 2}
-        regs = {}
-        pos = 0
-        for name in ordering.split("-"):
-            regs[name] = tuple(range(pos, pos + sizes[name]))
-            pos += sizes[name]
-        return cls(ordering=ordering, **regs)
-
-    @property
-    def width(self) -> int:
-        return len(self.upper) + len(self.lower) + len(self.ancilla)
 
     def blocks(self) -> list[tuple[str, tuple[int, ...]]]:
         """Registers in chain order."""
-        regs = {"upper": self.upper, "lower": self.lower, "ancilla": self.ancilla}
-        return [(name, regs[name]) for name in self.ordering.split("-")]
+        sizes = {"upper": 2 * self.n, "lower": self.n, "ancilla": self.n + 2}
+        blocks, pos = [], 0
+        for name in self.ordering.split("-"):
+            blocks.append((name, tuple(range(pos, pos + sizes[name]))))
+            pos += sizes[name]
+        return blocks
+
+    @property
+    def upper(self) -> tuple[int, ...]:
+        return dict(self.blocks())["upper"]
+
+    @property
+    def lower(self) -> tuple[int, ...]:
+        return dict(self.blocks())["lower"]
+
+    @property
+    def ancilla(self) -> tuple[int, ...]:
+        return dict(self.blocks())["ancilla"]
+
+    @property
+    def width(self) -> int:
+        return sum(len(block) for _, block in self.blocks())
 
     def boundary_cuts(self) -> tuple[int, int]:
         """The two chain cuts separating the three register blocks."""
@@ -438,7 +425,7 @@ def shor_order_circuit(modulus: int, a: int) -> Circuit:
         raise ValueError(f"a={a} shares a factor with N={modulus}")
     n = modulus.bit_length()
     t = 2 * n
-    layout = RegisterLayout.for_bits(n)
+    layout = RegisterLayout(n)
     gates: list[Gate] = [h(q) for q in layout.upper]
     gates.append(x(layout.lower[-1]))
     checkpoints = [("prep", len(gates))]
@@ -462,8 +449,7 @@ def reorder_registers(circ: Circuit, ordering: str) -> Circuit:
     if circ.layout is None:
         raise ValueError("circuit has no register layout to reorder")
     old = circ.layout
-    n = len(old.lower)
-    new = RegisterLayout.for_bits(n, ordering)
+    new = RegisterLayout(old.n, ordering)
     perm = dict(zip(old.upper + old.lower + old.ancilla, new.upper + new.lower + new.ancilla))
     return Circuit(
         width=circ.width,
@@ -477,10 +463,7 @@ def reorder_registers(circ: Circuit, ordering: str) -> Circuit:
 def circuit_to_text(circ: Circuit) -> str:
     lines = [f"width {circ.width}"]
     if circ.layout is not None:
-        for name in ("upper", "lower", "ancilla"):
-            idx = " ".join(str(i) for i in getattr(circ.layout, name))
-            lines.append(f"register {name} {idx}")
-        lines.append(f"ordering {circ.layout.ordering}")
+        lines.append(f"layout {circ.layout.n} {circ.layout.ordering}")
     if circ.measured:
         lines.append("measured " + " ".join(str(q) for q in circ.measured))
     for label, idx in circ.checkpoints:
@@ -497,8 +480,7 @@ def circuit_to_text(circ: Circuit) -> str:
 
 def circuit_from_text(text: str) -> Circuit:
     width = None
-    regs: dict[str, tuple[int, ...]] = {}
-    ordering = None
+    layout = None
     measured: tuple[int, ...] = ()
     checkpoints: list[tuple[str, int]] = []
     gates: list[Gate] = []
@@ -510,10 +492,8 @@ def circuit_from_text(text: str) -> Circuit:
         head = tokens[0]
         if head == "width":
             width = int(tokens[1])
-        elif head == "register":
-            regs[tokens[1]] = tuple(int(v) for v in tokens[2:])
-        elif head == "ordering":
-            ordering = tokens[1]
+        elif head == "layout":
+            layout = RegisterLayout(int(tokens[1]), tokens[2])
         elif head == "measured":
             measured = tuple(int(v) for v in tokens[1:])
         elif head == "checkpoint":
@@ -534,9 +514,6 @@ def circuit_from_text(text: str) -> Circuit:
             raise ValueError(f"cannot parse line {line!r}")
     if width is None:
         raise ValueError("missing width line")
-    layout = None
-    if regs:
-        layout = RegisterLayout(ordering=ordering, **regs)
     return Circuit(
         width=width,
         gates=tuple(gates),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from datetime import datetime, timezone
 
 from . import bench as bench_mod
 from . import pipeline as pl
@@ -124,8 +125,6 @@ def _emit(text: str, out_path: str | None):
 
 
 def _cmd_factor(args) -> int:
-    from datetime import datetime, timezone
-
     outcome = pl.factor(args.n, _config_from_args(args))
     if args.out or args.output == "jsonl":
         if args.output == "jsonl":
@@ -167,11 +166,7 @@ def _cmd_histogram(args) -> int:
         seed=args.seed,
         truncation=TruncationPolicy(chi_max=args.chi_max),
     )
-    table = bench_mod.format_histogram_table(report)
-    if args.out:
-        _emit(table + "\n", args.out)
-    else:
-        print(table)
+    _emit(bench_mod.format_histogram_table(report) + "\n", args.out)
     return 0
 
 
@@ -189,7 +184,7 @@ def _cmd_entropy(args) -> int:
         lambda_dump=dump,
     )
     if args.output == "jsonl":
-        _emit(bench_mod.entropy_reports_to_jsonl(reports), args.out)
+        _emit(bench_mod.records_to_jsonl(reports), args.out)
     else:
         _emit(bench_mod.entropy_reports_to_csv(reports), args.out)
     if not args.out:

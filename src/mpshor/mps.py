@@ -395,10 +395,30 @@ def to_statevector(state: MpsState) -> np.ndarray:
 
 
 def bond_entropy(state: MpsState, cut: int) -> float:
-    """Entanglement entropy in bits across the cut before qubit `cut`."""
+    """Entanglement entropy in bits across the cut before qubit `cut`.
+
+    A canonical chain stores the cut's spectrum in ``lambdas``. After a
+    step cut at ``chi_max`` it does not, and the spectrum is computed
+    from the tensors, gauge-free like `state_norm`: QR sweeps reduce
+    sites [0, cut) from the left and [cut, n) from the right to their
+    R factors, whose product has the state's singular values at the cut.
+    """
     if not 1 <= cut <= state.n - 1:
         raise ValueError(f"cut must be in [1, {state.n - 1}], got {cut}")
-    p = state.lambdas[cut - 1] ** 2
+    if state.canonical:
+        s = state.lambdas[cut - 1]
+    else:
+        left = np.ones((1, 1), dtype=complex)
+        for b in state.tensors[:cut]:
+            m = np.tensordot(left, b, axes=(1, 0)).reshape(-1, b.shape[2])
+            left = np.linalg.qr(m, mode="r")
+        right = np.ones((1, 1), dtype=complex)
+        for b in reversed(state.tensors[cut:]):
+            m = np.tensordot(b, right, axes=(2, 0)).reshape(b.shape[0], -1)
+            right = np.linalg.qr(m.T, mode="r").T
+        s = np.linalg.svd(left @ right, compute_uv=False)
+        s = s / np.linalg.norm(s)
+    p = s**2
     p = p[p > 1e-300]
     return float(max(0.0, -(p * np.log2(p)).sum()))
 

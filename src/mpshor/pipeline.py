@@ -9,7 +9,10 @@ uniformly or pre-selected so the order is exactly 2, which makes the
 measurement two-valued and lets a handful of shots suffice.
 
 Outcome records serialize to JSON lines (`outcome_to_json` /
-`outcome_from_json`), one record per run.
+`outcome_from_json`), one record per run. A record is the
+`dataclasses.asdict` of its `FactorizationOutcome`; only the keys of
+each attempt's measured histogram are written as strings, and the
+reader rebuilds every dataclass from its fields with `**`.
 """
 
 from __future__ import annotations
@@ -232,7 +235,6 @@ def factor(n: int, config: RunConfig) -> FactorizationOutcome:
 def outcome_to_json(outcome: FactorizationOutcome) -> str:
     """One-line JSON record of a factorization run."""
     d = asdict(outcome)
-    d["factors"] = list(outcome.factors) if outcome.factors else None
     for att in d["attempts"]:
         if att["measured"] is not None:
             att["measured"] = {str(k): v for k, v in att["measured"].items()}
@@ -241,25 +243,10 @@ def outcome_to_json(outcome: FactorizationOutcome) -> str:
 
 def outcome_from_json(line: str) -> FactorizationOutcome:
     d = json.loads(line)
-    attempts = []
     for att in d["attempts"]:
-        measured = att["measured"]
-        if measured is not None:
-            measured = {int(k): v for k, v in measured.items()}
-        attempts.append(
-            AttemptRecord(
-                a=att["a"],
-                path=att["path"],
-                measured=measured,
-                extracted_order=att["extracted_order"],
-                rejection=att["rejection"],
-            )
-        )
-    return FactorizationOutcome(
-        n_value=d["n_value"],
-        status=d["status"],
-        factors=tuple(d["factors"]) if d["factors"] else None,
-        attempts=attempts,
-        timings=d["timings"],
-        stats=GateStats(**d["stats"]),
-    )
+        if att["measured"] is not None:
+            att["measured"] = {int(k): v for k, v in att["measured"].items()}
+    d["attempts"] = [AttemptRecord(**att) for att in d["attempts"]]
+    d["factors"] = tuple(d["factors"]) if d["factors"] else None
+    d["stats"] = GateStats(**d["stats"])
+    return FactorizationOutcome(**d)

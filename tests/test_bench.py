@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 from pathlib import Path
@@ -193,12 +194,16 @@ class TestEntropyReport:
             assert sa == pytest.approx(sb, abs=1e-8)
 
     def test_csv_and_jsonl_emission(self):
-        reports = bench.entropy_report(15, 4, orderings=("upper-lower-ancilla",))
+        reports = bench.entropy_report(15, 4, orderings=("upper-lower-ancilla", "lower-upper-ancilla"))
         text = bench.entropy_reports_to_csv(reports)
         assert text.splitlines()[0].startswith("n_value,a,ordering")
-        assert len(text.splitlines()) == 1 + len(reports[0].rows)
-        jl = bench.entropy_reports_to_jsonl(reports)
-        assert '"ordering": "upper-lower-ancilla"' in jl
+        assert len(text.splitlines()) == 1 + sum(len(rep.rows) for rep in reports)
+        lines = bench.records_to_jsonl(reports).splitlines()
+        assert len(lines) == len(reports)
+        for line, rep in zip(lines, reports):
+            record = json.loads(line)
+            record["rows"] = [tuple(row) for row in record["rows"]]  # JSON has no tuples
+            assert record == dataclasses.asdict(rep)
 
     @pytest.mark.parametrize("a", [4, 7])
     def test_rows_match_gate_by_gate_reference(self, a):

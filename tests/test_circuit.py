@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -156,7 +157,8 @@ class TestDecompositions:
 
 class TestRegisterLayout:
     def test_sizes_and_contiguity(self):
-        lay = cir.RegisterLayout.for_bits(4)
+        lay = cir.RegisterLayout(4)
+        assert [f.name for f in dataclasses.fields(lay)] == ["n", "ordering"]
         assert lay.upper == tuple(range(8))
         assert lay.lower == tuple(range(8, 12))
         assert lay.ancilla == tuple(range(12, 18))
@@ -165,26 +167,25 @@ class TestRegisterLayout:
 
     @pytest.mark.parametrize("ordering", cir.ORDERINGS)
     def test_all_orderings_valid(self, ordering):
-        lay = cir.RegisterLayout.for_bits(3, ordering)
+        lay = cir.RegisterLayout(3, ordering)
         assert lay.width == 14
         names = [name for name, _ in lay.blocks()]
         assert "-".join(names) == ordering
+        assert (len(lay.upper), len(lay.lower), len(lay.ancilla)) == (6, 3, 5)
+        assert sorted(lay.upper + lay.lower + lay.ancilla) == list(range(14))
 
     def test_rejects_bad_ordering(self):
         with pytest.raises(ValueError):
-            cir.RegisterLayout.for_bits(3, "upper-upper-lower")
+            cir.RegisterLayout(3, "upper-upper-lower")
 
-    def test_rejects_non_contiguous(self):
-        with pytest.raises(ValueError):
-            cir.RegisterLayout(
-                upper=(0, 1, 2, 4, 3, 5), lower=(6, 7, 8),
-                ancilla=(9, 10, 11, 12, 13), ordering="upper-lower-ancilla",
-            )
+    def test_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            cir.RegisterLayout(0)
 
 
 class TestModularMultiplier:
     def setup_method(self):
-        self.layout = cir.RegisterLayout.for_bits(4)
+        self.layout = cir.RegisterLayout(4)
         self.width = self.layout.width
 
     def _basis(self, control_bit, xval, control=0):
@@ -294,7 +295,7 @@ class TestReorderRegisters:
     def test_measurement_distribution_invariant(self, ordering):
         circ = cir.shor_order_circuit(15, 4)
         moved = cir.reorder_registers(circ, ordering)
-        assert moved.layout == cir.RegisterLayout.for_bits(4, ordering)
+        assert moved.layout == cir.RegisterLayout(4, ordering)
         assert moved.measured == moved.layout.upper
         st = dense.dense_run(moved)
         counts = dense.dense_sample(st, moved.measured, shots=512, seed=11)
@@ -306,9 +307,11 @@ class TestReorderRegisters:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        circ = cir.shor_order_circuit(15, 4)
+    @pytest.mark.parametrize("ordering", cir.ORDERINGS)
+    def test_round_trip(self, ordering):
+        circ = cir.reorder_registers(cir.shor_order_circuit(15, 4), ordering)
         text = cir.circuit_to_text(circ)
+        assert f"layout 4 {ordering}" in text.splitlines()
         back = cir.circuit_from_text(text)
         assert back.width == circ.width
         assert back.layout == circ.layout
@@ -336,6 +339,12 @@ class TestSerialization:
             cir.circuit_from_text("width 2\nFROB 0 1\n")
         with pytest.raises(ValueError):
             cir.circuit_from_text("H 0\n")
+        with pytest.raises(ValueError, match="cannot parse line"):
+            cir.circuit_from_text("width 18\nregister lower 8 9 10 11\n")  # the old header
+        with pytest.raises(ValueError, match="unknown ordering"):
+            cir.circuit_from_text("width 18\nlayout 4 upper-lower-sideways\n")
+        with pytest.raises(ValueError, match="layout width"):
+            cir.circuit_from_text("width 18\nlayout 3 upper-lower-ancilla\n")
 
     def test_three_qubit_kind_rejected(self):
         # every gate touches at most two qubits; controlled swaps come from cswap_gates

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from mpshor import circuit as cir
-from mpshor import mps
+from mpshor import dense, mps
 from util import assert_canonical, haar_unitary, random_circuit, spy_gesdd
 
 _SWAP4 = np.array(
@@ -386,6 +386,20 @@ def test_capped_chain_walks_match_svd_steps(seed):
         for lam, ref_lam in zip(state.lambdas, ref.lambdas):
             assert lam.shape == ref_lam.shape
             assert np.abs(lam - ref_lam).max() <= TOL
+    assert not state.canonical
+
+
+@pytest.mark.parametrize("seed", [15, 97, 154])
+def test_bond_entropy_after_capped_steps(seed):
+    # a capped step leaves Schmidt vectors that are not their cut's spectrum (off by up
+    # to 0.59 bits at these seeds, where the state is a product across the cut)
+    state = mps.init_state(7, mps.TruncationPolicy(chi_max=2))
+    for g in capped_gates(seed):
+        mps.apply_gate(state, g)
+        v = mps.to_statevector(state)
+        ref = dense.DenseState(7, v / np.linalg.norm(v))
+        for cut in range(1, 7):
+            assert abs(mps.bond_entropy(state, cut) - dense.dense_entropy(ref, range(cut))) <= 1e-9
     assert not state.canonical
 
 
