@@ -20,31 +20,38 @@ swap steps and routed back, so the only entangling primitive is the
 adjacent-pair SVD update; a routed gate is one loop over its swap and
 gate steps. A swap step, whether routing or an explicit ``SWAP`` gate,
 is the same update with the gate replaced by a transpose of the pair's
-two physical indices. A swap step in which either site has shape
-``(1, 2, 1)``, a qubit entangled with nothing, needs no SVD. For a
-product site a left of B ``(1, 2, chi)``, the step leaves B at q and
-a/|a| (x) I_chi at q+1, and moves ``lambdas[q+1]`` to bond q; for B
-``(chi, 2, 1)`` left of a product site b, it leaves b/|b| (x) I_chi at
-q and B at q+1, and moves ``lambdas[q-1]``. The tensors hold the same
-state, and on a canonical chain the moved vector is the spectrum the
-SVD would compute: one bond of B has dimension 1, so B is its own SVD
-with singular values that vector. A step that cuts a spectrum at
-``chi_max`` leaves tensors that are not isometries and vectors that
-are not their cut's spectrum, so it clears ``MpsState.canonical``, and
-from then on only two product sites are exchanged. Every other step is
-one call to numpy's gufunc for LAPACK's divide-and-conquer driver
-``zgesdd``, the kernel behind ``np.linalg.svd``. If it fails, numpy
-warns of an invalid value and fills the outputs with NaN, and the step
-falls back to the slower ``gesvd`` driver through scipy, which is used
-for nothing else and imported only then. The warning is left on: an
-``np.errstate`` around each gate slowed whole runs by a few percent.
-A gate whose first (high-bit) target lies to the right of its second
-is applied as the gate with its rows and columns permuted by
-``[0, 2, 1, 3]``, which exchanges the two bits; ``CPHASE`` is symmetric
-in its two bits and is applied to its targets in chain order instead.
-Truncation keeps at most ``chi_max`` Schmidt coefficients, drops
-coefficients at or below ``discard_threshold``, and renormalizes the
-spectrum.
+two physical indices. A swap step past a qubit entangled with nothing
+needs no SVD. ``MpsState.product[l]`` flags a site that holds such a
+qubit as p (x) I_chi: every ``(1, 2, 1)`` site, and every site an
+exchange writes. A 1-qubit gate keeps the flag (U (p (x) I) is (Up)
+(x) I), an exchange moves it with its qubit, and an SVD step flags
+exactly the ``(1, 2, 1)`` sites it leaves. For a flagged site a left
+of B ``(chi, 2, chi_r)``, the step leaves B at q and a/|a| (x) I_chi_r
+at q+1, and moves ``lambdas[q+1]`` to bond q; for B ``(chi_l, 2,
+chi)`` left of a flagged site b, it leaves b/|b| (x) I_chi_l at q and
+B at q+1, and moves ``lambdas[q-1]``. A moved bond of dimension 1 gets
+a new ``[1.0]`` instead. The tensors hold the same state, and on a
+canonical chain the moved vector is the spectrum the SVD would
+compute: the flagged site passes the left Gram matrix on unchanged, so
+B's columns, weighted by the left Schmidt vector, are orthogonal with
+norms ``lambdas[q+1]`` (in the mirror case B is right-isometric, so
+theta's singular values are ``lambdas[q-1]``). A step that cuts a
+spectrum at ``chi_max`` leaves tensors that are not isometries and
+vectors that are not their cut's spectrum, so it clears
+``MpsState.canonical``, and from then on only two ``(1, 2, 1)`` sites
+are exchanged. Every other step is one call to numpy's gufunc for
+LAPACK's divide-and-conquer driver ``zgesdd``, the kernel behind
+``np.linalg.svd``. If it fails, numpy warns of an invalid value and
+fills the outputs with NaN, and the step falls back to the slower
+``gesvd`` driver through scipy, which is used for nothing else and
+imported only then. The warning is left on: an ``np.errstate`` around
+each gate slowed whole runs by a few percent. A gate whose first
+(high-bit) target lies to the right of its second is applied as the
+gate with its rows and columns permuted by ``[0, 2, 1, 3]``, which
+exchanges the two bits; ``CPHASE`` is symmetric in its two bits and is
+applied to its targets in chain order instead. Truncation keeps at
+most ``chi_max`` Schmidt coefficients, drops coefficients at or below
+``discard_threshold``, and renormalizes the spectrum.
 
 Truncation bookkeeping
 ----------------------
@@ -63,10 +70,11 @@ and the swaps are not. An explicit ``SWAP`` gate adds one more swap in
 ``apply_gate``. A step whose left bond has dimension 1 skips the
 multiply by that bond's Schmidt vector, which is exactly ``[1.0]``:
 ``init_state`` builds it so, an exchange moves only vectors of larger
-bonds, and a step that keeps one value ``s0`` stores ``s0 / sqrt(s0 *
-s0)``, which is 1.0 in binary64. Multiplying by 1.0 changes no value
-of theta; it could only turn a ``-0.0`` into ``+0.0``, and no such
-theta arose in the Shor runs (15, 4) and (33, 10), or (15, 7) at
+bonds and writes a new ``np.ones(1)`` where the bond shrinks to
+dimension 1, and a step that keeps one value ``s0`` stores ``s0 /
+sqrt(s0 * s0)``, which is 1.0 in binary64. Multiplying by 1.0 changes
+no value of theta; it could only turn a ``-0.0`` into ``+0.0``, and no
+such theta arose in the Shor runs (15, 4) and (33, 10), or (15, 7) at
 ``chi_max=2``. ``run_circuit`` tracks the total tensor size from the
 sizes of the span each two-qubit gate is routed across, which are the
 only tensors it changes.
@@ -155,6 +163,11 @@ class MpsState:
     #: every tensor right-isometric and every lambda its cut's exact spectrum;
     #: cleared for good by the first step that cuts a spectrum at chi_max
     canonical: bool = field(default=True, init=False)
+    #: product[l]: site l holds p (x) I_chi, a qubit entangled with nothing
+    product: list[bool] = field(init=False)
+
+    def __post_init__(self):
+        self.product = [t.shape == (1, 2, 1) for t in self.tensors]
 
     def copy(self) -> MpsState:
         new = MpsState(
@@ -164,6 +177,7 @@ class MpsState:
             policy=self.policy,
         )
         new.canonical = self.canonical
+        new.product = self.product.copy()
         return new
 
     def element_count(self) -> int:
@@ -206,7 +220,7 @@ def _apply_2q_routed(
     lo, hi = (q1, q2) if q1 < q2 else (q2, q1)
     if q1 > q2 and u4 is not None:
         u4 = u4[_REVERSE][:, _REVERSE]
-    tensors, lambdas = state.tensors, state.lambdas
+    tensors, lambdas, product = state.tensors, state.lambdas, state.product
     chi_max, threshold = state.policy.chi_max, state.policy.discard_threshold
     gesdd = _gesdd
     top = hi - 1
@@ -216,18 +230,22 @@ def _apply_2q_routed(
             bl, br = tensors[q], tensors[q + 1]
             chi_l, chi_r = bl.shape[0], br.shape[2]
             swap = q != top or u4 is None
-            product = swap and br.shape[0] == 1 and (chi_l == 1 or chi_r == 1)
-            if product and (chi_l == chi_r or state.canonical):
-                # a product site (1, 2, 1) passes its neighbour: the exchange is the step's closed form.
-                # Past an entangled site (chi_l != chi_r) it moves a Schmidt vector, exact only on a
-                # canonical chain
-                p, chi, lam = (bl, chi_r, q + 1) if chi_l == 1 else (br, chi_l, q - 1)
-                p0, p1 = p.ravel().tolist()
+            lflag = product[q]
+            if swap and (lflag or product[q + 1]) and (state.canonical or chi_l == chi_r == 1):
+                # a flagged site p (x) I passes its neighbour: the exchange is the step's closed form.
+                # Past an entangled site it moves a Schmidt vector, exact only on a canonical chain;
+                # otherwise it exchanges only two (1, 2, 1) sites
+                p, chi, lam = (bl, chi_r, q + 1) if lflag else (br, chi_l, q - 1)
+                p0, p1 = p[0, :, 0].tolist()
+                if p.shape[0] != chi:  # p (x) I_chi carries the neighbour's outer bond across
+                    p = p[:1, :, :1] * np.eye(chi)[:, None, :] if chi > 1 else p[:1, :, :1]
                 p = p / math.sqrt(abs(p0) ** 2 + abs(p1) ** 2)
-                if chi > 1:  # p (x) I_chi carries the neighbour's outer bond across
-                    p = p * np.eye(chi)[:, None, :]
+                if chi > 1:
                     lambdas[q] = lambdas[lam]
-                tensors[q], tensors[q + 1] = (br, p) if chi_l == 1 else (p, bl)
+                elif bl.shape[2] > 1:  # the bond shrinks to dimension 1, whose vector is exactly [1.0]
+                    lambdas[q] = np.ones(1)
+                tensors[q], tensors[q + 1] = (br, p) if lflag else (p, bl)
+                product[q], product[q + 1] = product[q + 1], product[q]
                 if chi > max_keep:
                     max_keep = chi
                 done += 1
@@ -267,6 +285,7 @@ def _apply_2q_routed(
             left = c.dot(vh.T.conj())
             left /= nrm
             tensors[q] = left.reshape(chi_l, 2, keep)
+            product[q], product[q + 1] = chi_l == keep == 1, keep == chi_r == 1
             if keep > max_keep:
                 max_keep = keep
             done += 1

@@ -96,10 +96,11 @@ def run_period_finding(
 
     Returns (histogram of measured counting-register values, phase
     timings, gate statistics). Sampling time is folded into the
-    simulation phase. The deadline is checked before every gate and once
-    more before sampling. A SimulationTimeout leaves with the phase
-    timings spent so far set on it, next to the statistics of the gates
-    it completed: all of them when it expires before sampling.
+    simulation phase. The deadline is checked after the circuit build,
+    before every gate and once more before sampling. A SimulationTimeout
+    leaves with the phase timings spent so far set on it, next to the
+    statistics of the gates it completed: none when the build overran,
+    all of them when it expires before sampling.
     """
     if math.gcd(a, n) != 1:
         raise ValueError(f"a={a} shares a factor with N={n}")
@@ -108,6 +109,8 @@ def run_period_finding(
     circ = shor_order_circuit(n, a)
     t1 = time.perf_counter()
     try:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SimulationTimeout("deadline expired during the circuit build")
         state = mps_mod.init_state(circ.width, config.truncation)
         stats = mps_mod.run_circuit(state, circ, deadline=deadline)
         if deadline is not None and time.monotonic() > deadline:

@@ -12,7 +12,7 @@ import scipy.linalg
 
 from mpshor import circuit as cir
 from mpshor import dense, mps
-from util import assert_canonical, haar_unitary, random_circuit, spy_gesdd
+from util import assert_canonical, assert_product_flags, haar_unitary, random_circuit, spy_gesdd
 
 _SWAP4 = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -62,6 +62,9 @@ def reference_apply_2q_adjacent(state, u4, q, stats):
     state.tensors[q] = (
         c.reshape(2 * chi_l, 2 * chi_r) @ vk.conj().T
     ).reshape(chi_l, 2, keep) / nrm
+    # the engine exchanges past a flagged site, so a stale flag would corrupt a later step
+    state.product[q] = state.tensors[q].shape == (1, 2, 1)
+    state.product[q + 1] = state.tensors[q + 1].shape == (1, 2, 1)
     if stats is not None:
         stats.svd_count += 1
         if keep > stats.max_chi:
@@ -328,17 +331,17 @@ def test_exchange_past_entangled_site_matches_svd_step(monkeypatch, chain, gate,
         assert lam.shape == ref_lam.shape
         assert np.abs(lam - ref_lam).max() <= TOL
     assert_canonical(state, TOL)
-    # the same walk one step at a time: a swap step past a (1, 2, 1) site calls no kernel
-    # and leaves the chain canonical; every other step calls it once
+    # the same walk one step at a time: a swap step past a flagged site (read before the
+    # step) calls no kernel and leaves the chain canonical; every other step calls it once
     gesdd_calls = spy_gesdd(monkeypatch)
     exchanges = 0
     top = q2 - 1
     for q in (*range(q1, top), *range(top, q1 - 1, -1)):
         swap_step = q != top or gate == "swap"
-        product = (1, 2, 1) in (by_step.tensors[q].shape, by_step.tensors[q + 1].shape)
+        flagged = by_step.product[q] or by_step.product[q + 1]
         calls = len(gesdd_calls)
         mps.apply_gate(by_step, cir.swap(q, q + 1) if swap_step else cir.cphase(angle, q, q + 1))
-        if swap_step and product:
+        if swap_step and flagged:
             exchanges += 1
             assert len(gesdd_calls) == calls
             assert_canonical(by_step, TOL)
@@ -346,6 +349,32 @@ def test_exchange_past_entangled_site_matches_svd_step(monkeypatch, chain, gate,
             assert len(gesdd_calls) == calls + 1
     assert exchanges > 0
     assert_states_close(by_step, state, tol=0)
+
+
+@pytest.mark.parametrize("policy", ["default", "exact"])
+def test_swap_of_carried_product_sites_calls_no_kernel(monkeypatch, policy):
+    # SWAP (1, 4) carries site 1 of the pair (0, 1) out to site 4 and leaves each unentangled
+    # qubit it passes inside the pair's bond as p (x) I_2. Its two return steps swap two such
+    # qubits: flagged, they are exchanged, so no step of the walk calls the kernel
+    rng = np.random.default_rng(list(CANONICAL_WALKS).index("right_of_pair"))
+    state = canonical_chain((0,), POLICIES[policy], rng)
+    ref = state.copy()
+    gesdd_calls = spy_gesdd(monkeypatch)
+    for q in (1, 2, 3):
+        mps.apply_gate(state, cir.swap(q, q + 1))
+    assert [t.shape for t in state.tensors[1:4]] == [(2, 2, 2)] * 3
+    assert state.product[1:4] == [True] * 3
+    for q in (2, 1):
+        mps.apply_gate(state, cir.swap(q, q + 1))
+    assert gesdd_calls == []
+    ref_stats = mps.GateStats()
+    reference_apply_2q_routed(ref, _SWAP4, 1, 4, ref_stats)
+    assert len(gesdd_calls) == ref_stats.svd_count == 5  # every step of the reference calls the kernel
+    assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
+    for lam, ref_lam in zip(state.lambdas, ref.lambdas):
+        assert lam.shape == ref_lam.shape
+        assert np.abs(lam - ref_lam).max() <= TOL
+    assert_canonical(state, TOL)
 
 
 def capped_gates(seed):
@@ -387,6 +416,40 @@ def test_capped_chain_walks_match_svd_steps(seed):
             assert lam.shape == ref_lam.shape
             assert np.abs(lam - ref_lam).max() <= TOL
     assert not state.canonical
+
+
+@pytest.mark.parametrize("run", ["shor-15-4", "shor-33-10", "capped-15", "capped-97", "capped-154"])
+def test_product_flags_after_every_gate(run):
+    # the exchange trusts the flags, so after every gate each must still mark exactly p (x) I
+    kind, *args = run.split("-")
+    if kind == "shor":
+        circ = cir.shor_order_circuit(*map(int, args))
+        state, gates = mps.init_state(circ.width), circ.gates
+    else:
+        state, gates = mps.init_state(7, mps.TruncationPolicy(chi_max=2)), capped_gates(int(args[0]))
+    assert_product_flags(state)
+    flagged_inside_bonds = 0
+    for g in gates:
+        mps.apply_gate(state, g)
+        assert_product_flags(state)
+        flagged_inside_bonds += sum(f and t.shape[0] > 1 for f, t in zip(state.product, state.tensors))
+    assert flagged_inside_bonds > 0
+
+
+def test_copy_carries_product_flags(monkeypatch):
+    # a copy taken mid-run exchanges at the same steps as the original: same kernel calls, same tensors
+    circ = cir.shor_order_circuit(15, 4)
+    head, tail = cir.Circuit(circ.width, circ.gates[:500]), cir.Circuit(circ.width, circ.gates[500:])
+    state = mps.init_state(circ.width)
+    mps.run_circuit(state, head)
+    copied = state.copy()
+    assert copied.product == state.product and copied.product is not state.product
+    gesdd_calls = spy_gesdd(monkeypatch)
+    mps.run_circuit(state, tail)
+    calls = len(gesdd_calls)
+    mps.run_circuit(copied, tail)
+    assert len(gesdd_calls) == 2 * calls > 0
+    assert_states_close(copied, state, tol=0)
 
 
 @pytest.mark.parametrize("seed", [15, 97, 154])

@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -182,10 +184,11 @@ class TestFactor:
 
     @pytest.mark.parametrize("engine", [mps], ids=["mps"])
     def test_deadline_between_last_gate_and_sampling_times_out(self, monkeypatch, engine):
-        # factor() reads the clock twice before the attempt, then the
-        # engine once per gate; the next read, before sampling, is past the deadline
+        # factor() reads the clock twice before the attempt, run_period_finding once
+        # after the build, then the engine once per gate; the next read, before
+        # sampling, is past the deadline
         circ = cir.shor_order_circuit(15, 4)
-        clock = clock_expiring_after(2 + len(circ.gates))
+        clock = clock_expiring_after(3 + len(circ.gates))
         monkeypatch.setattr(pl, "time", clock)
         monkeypatch.setattr(engine, "time", clock)
         out = pl.factor(15, pl.RunConfig(seed=0))
@@ -195,6 +198,26 @@ class TestFactor:
         assert out.stats == engine.run_circuit(engine.init_state(circ.width), circ)
         assert out.timings["circuit_build_seconds"] > 0
         assert out.timings["simulation_seconds"] > 0
+        assert out.timings["postprocess_seconds"] == 0.0
+
+    def test_deadline_during_circuit_build_times_out(self, monkeypatch):
+        # the build overruns the deadline: the attempt times out before the engine runs a gate
+        build, built = pl.shor_order_circuit, []
+
+        def slow_build(n, a):
+            built.append(a)
+            return build(n, a)
+
+        monkeypatch.setattr(pl, "shor_order_circuit", slow_build)
+        late = SimpleNamespace(
+            monotonic=lambda: time.monotonic() + (1e9 if built else 0.0), perf_counter=time.perf_counter
+        )
+        monkeypatch.setattr(pl, "time", late)
+        out = pl.factor(15, pl.RunConfig(seed=0))
+        assert out.status == "timeout"
+        assert [(att.a, att.path, att.rejection) for att in out.attempts] == [(built[0], "quantum", "timeout")]
+        assert out.stats == mps.GateStats()
+        assert out.timings["circuit_build_seconds"] > 0
         assert out.timings["postprocess_seconds"] == 0.0
 
     def test_rejects_invalid_n(self):

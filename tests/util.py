@@ -82,6 +82,18 @@ def assert_canonical(state, tol):
         assert gram.shape == want.shape and np.abs(gram - want).max() <= tol, f"bond {l} Gram is not diag(lambda^2)"
 
 
+def assert_product_flags(state):
+    """Assert `MpsState.product`: every flagged site is exactly p (x) I_chi, and every (1, 2, 1) site is flagged."""
+    assert len(state.product) == state.n
+    for l, (t, flagged) in enumerate(zip(state.tensors, state.product)):
+        if flagged:
+            chi = t.shape[0]
+            assert t.shape == (chi, 2, chi), f"flagged site {l} has shape {t.shape}"
+            assert np.array_equal(t, t[:1, :, :1] * np.eye(chi)[:, None, :]), f"flagged site {l} is not p (x) I"
+        else:
+            assert t.shape != (1, 2, 1), f"site {l} has shape (1, 2, 1) but is not flagged"
+
+
 def spy_gesdd(monkeypatch):
     """Route mps._gesdd through a recorder; returns the list of theta shapes it is called on."""
     calls = []
