@@ -254,9 +254,13 @@ class Circuit:
                 raise ValueError("measured qubits must lie in the counting register")
         elif any(q >= self.width or q < 0 for q in self.measured):
             raise ValueError("measured qubit out of range")
+        prev = 0
         for _, idx in self.checkpoints:
             if not 0 <= idx <= len(self.gates):
                 raise ValueError("checkpoint index out of range")
+            if idx < prev:
+                raise ValueError("checkpoint indices must not decrease")
+            prev = idx
 
     def segments(self):
         """Yield (label, gates) spans between consecutive checkpoints."""

@@ -59,25 +59,26 @@ The few singular values of a step are read into a Python list once
 (LAPACK returns them descending). The keep rule walks back from the
 tail past values ``<= discard_threshold`` and then caps the count at
 ``chi_max``; the discarded weight and the norm of the kept spectrum
-are sums of squares over that list. ``GateStats`` counts every step
-of a walk, exchanges included, the largest kept bond (for an exchange,
-the moved bond) and the largest discarded weight of one step.
-``_apply_2q_routed`` keeps these in locals over its walk and updates
-the caller's stats once per routed gate: ``2 * (hi - lo - 1) + 1``
-steps and ``2 * (hi - lo - 1)`` routing swaps for targets ``lo < hi``.
-If a step raises, the steps that finished before it are still counted
-and the swaps are not. An explicit ``SWAP`` gate adds one more swap in
-``apply_gate``. A step whose left bond has dimension 1 skips the
-multiply by that bond's Schmidt vector, which is exactly ``[1.0]``:
-``init_state`` builds it so, an exchange moves only vectors of larger
-bonds and writes a new ``np.ones(1)`` where the bond shrinks to
-dimension 1, and a step that keeps one value ``s0`` stores ``s0 /
-sqrt(s0 * s0)``, which is 1.0 in binary64. Multiplying by 1.0 changes
-no value of theta; it could only turn a ``-0.0`` into ``+0.0``, and no
-such theta arose in the Shor runs (15, 4) and (33, 10), or (15, 7) at
-``chi_max=2``. ``run_circuit`` tracks the total tensor size from the
-sizes of the span each two-qubit gate is routed across, which are the
-only tensors it changes.
+are sums of squares over that list. ``GateStats`` counts every step of
+a walk, exchanges included, every swap, the largest kept bond (for an
+exchange, the moved bond) and the largest discarded weight of one
+step. ``_apply_2q_routed`` is the only writer of these four counters.
+It keeps them in locals over its walk and updates the caller's stats
+once per routed gate: ``2 * (hi - lo - 1) + 1`` steps and ``2 * (hi -
+lo - 1)`` routing swaps for targets ``lo < hi``, plus the gate's own
+swap for an explicit ``SWAP``. If a step raises, the steps that
+finished before it are still counted and the swaps are not.
+``run_circuit`` counts the gates and the peak tensor size, which it
+tracks from the sizes of the span each two-qubit gate is routed
+across, the only tensors the gate changes. A step whose left bond has
+dimension 1 skips the multiply by that bond's Schmidt vector, which is
+exactly ``[1.0]``: ``init_state`` builds it so, an exchange moves only
+vectors of larger bonds and writes a new ``np.ones(1)`` where the bond
+shrinks to dimension 1, and a step that keeps one value ``s0`` stores
+``s0 / sqrt(s0 * s0)``, which is 1.0 in binary64. Multiplying by 1.0
+changes no value of theta; it could only turn a ``-0.0`` into
+``+0.0``, and no such theta arose in the Shor runs (15, 4) and (33,
+10), or (15, 7) at ``chi_max=2``.
 """
 
 from __future__ import annotations
@@ -156,7 +157,6 @@ class GateStats:
 
 @dataclass
 class MpsState:
-    n: int
     tensors: list[np.ndarray]
     lambdas: list[np.ndarray]
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
@@ -169,9 +169,12 @@ class MpsState:
     def __post_init__(self):
         self.product = [t.shape == (1, 2, 1) for t in self.tensors]
 
+    @property
+    def n(self) -> int:
+        return len(self.tensors)
+
     def copy(self) -> MpsState:
         new = MpsState(
-            n=self.n,
             tensors=[t.copy() for t in self.tensors],
             lambdas=[l.copy() for l in self.lambdas],
             policy=self.policy,
@@ -194,7 +197,7 @@ def init_state(n: int, policy: TruncationPolicy | None = None) -> MpsState:
         t[0, 0, 0] = 1.0
         tensors.append(t)
     lambdas = [np.ones(1) for _ in range(n - 1)]
-    return MpsState(n=n, tensors=tensors, lambdas=lambdas, policy=policy or TruncationPolicy())
+    return MpsState(tensors=tensors, lambdas=lambdas, policy=policy or TruncationPolicy())
 
 
 def _gesvd(m: np.ndarray):
@@ -209,7 +212,7 @@ def _apply_2q_routed(
     u4: np.ndarray | None,
     q1: int,
     q2: int,
-    stats: GateStats | None,
+    stats: GateStats,
 ):
     """Route (q1, q2) to adjacency with swaps, apply u4, and route back; u4=None is a SWAP.
 
@@ -291,14 +294,12 @@ def _apply_2q_routed(
             done += 1
     finally:
         # once per gate: the steps that finished, even if a later one raised
-        if stats is not None:
-            stats.svd_count += done
-            if max_keep > stats.max_chi:
-                stats.max_chi = max_keep
-            if max_discarded > stats.max_discarded_weight:
-                stats.max_discarded_weight = max_discarded
-    if stats is not None:
-        stats.swap_count += 2 * (hi - lo - 1)
+        stats.svd_count += done
+        if max_keep > stats.max_chi:
+            stats.max_chi = max_keep
+        if max_discarded > stats.max_discarded_weight:
+            stats.max_discarded_weight = max_discarded
+    stats.swap_count += 2 * (hi - lo - 1) + (u4 is None)
 
 
 def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
@@ -318,14 +319,12 @@ def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
     q1, q2 = gate.targets
     if gate.kind == "SWAP":
         u4 = None
-        if stats is not None:
-            stats.swap_count += 1
     else:
         u4 = gate.full_matrix()
         if gate.kind == "CPHASE" and q1 > q2:
             # symmetric in its two bits, so it needs no reindexing for reversed targets
             q1, q2 = q2, q1
-    _apply_2q_routed(state, u4, q1, q2, stats)
+    _apply_2q_routed(state, u4, q1, q2, GateStats() if stats is None else stats)
 
 
 def apply_1q(state: MpsState, u, q: int) -> MpsState:
@@ -413,40 +412,41 @@ def to_statevector(state: MpsState) -> np.ndarray:
     return (left @ right).ravel()
 
 
-def bond_entropy(state: MpsState, cut: int) -> float:
-    """Entanglement entropy in bits across the cut before qubit `cut`.
+def _cut_spectrum(state: MpsState, cut: int) -> np.ndarray:
+    """The state's Schmidt spectrum across the cut before qubit `cut`, unit norm.
 
-    A canonical chain stores the cut's spectrum in ``lambdas``. After a
-    step cut at ``chi_max`` it does not, and the spectrum is computed
-    from the tensors, gauge-free like `state_norm`: QR sweeps reduce
-    sites [0, cut) from the left and [cut, n) from the right to their
-    R factors, whose product has the state's singular values at the cut.
+    A canonical chain stores it in ``lambdas``. After a step cut at
+    ``chi_max`` it does not, and it is computed from the tensors,
+    gauge-free like `state_norm`: QR sweeps reduce sites [0, cut) from
+    the left and [cut, n) from the right to their R factors, whose
+    product has the state's singular values at the cut.
     """
     if not 1 <= cut <= state.n - 1:
         raise ValueError(f"cut must be in [1, {state.n - 1}], got {cut}")
     if state.canonical:
-        s = state.lambdas[cut - 1]
-    else:
-        left = np.ones((1, 1), dtype=complex)
-        for b in state.tensors[:cut]:
-            m = np.tensordot(left, b, axes=(1, 0)).reshape(-1, b.shape[2])
-            left = np.linalg.qr(m, mode="r")
-        right = np.ones((1, 1), dtype=complex)
-        for b in reversed(state.tensors[cut:]):
-            m = np.tensordot(b, right, axes=(2, 0)).reshape(b.shape[0], -1)
-            right = np.linalg.qr(m.T, mode="r").T
-        s = np.linalg.svd(left @ right, compute_uv=False)
-        s = s / np.linalg.norm(s)
-    p = s**2
+        return state.lambdas[cut - 1]
+    left = np.ones((1, 1), dtype=complex)
+    for b in state.tensors[:cut]:
+        m = np.tensordot(left, b, axes=(1, 0)).reshape(-1, b.shape[2])
+        left = np.linalg.qr(m, mode="r")
+    right = np.ones((1, 1), dtype=complex)
+    for b in reversed(state.tensors[cut:]):
+        m = np.tensordot(b, right, axes=(2, 0)).reshape(b.shape[0], -1)
+        right = np.linalg.qr(m.T, mode="r").T
+    s = np.linalg.svd(left @ right, compute_uv=False)
+    return s / np.linalg.norm(s)
+
+
+def bond_entropy(state: MpsState, cut: int) -> float:
+    """Entanglement entropy in bits across the cut before qubit `cut`."""
+    p = _cut_spectrum(state, cut) ** 2
     p = p[p > 1e-300]
     return float(max(0.0, -(p * np.log2(p)).sum()))
 
 
 def schmidt_number(state: MpsState) -> int:
     """Largest bond dimension along the chain."""
-    if state.n == 1:
-        return 1
-    return max(lam.size for lam in state.lambdas)
+    return max((lam.size for lam in state.lambdas), default=1)
 
 
 def sample(state: MpsState, qubits, shots: int, seed: int) -> dict[str, int]:
@@ -487,9 +487,9 @@ def sample(state: MpsState, qubits, shots: int, seed: int) -> dict[str, int]:
 
 
 def dump_lambda_spectra(state: MpsState, path) -> None:
-    """Write the per-bond Schmidt spectra as columnar text."""
+    """Write the state's Schmidt spectrum at every bond as columnar text."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# bond rank schmidt_coefficient\n")
-        for bond, lam in enumerate(state.lambdas):
-            for rank, val in enumerate(lam):
-                fh.write(f"{bond + 1} {rank} {float(val)!r}\n")
+        for bond in range(1, state.n):
+            for rank, val in enumerate(_cut_spectrum(state, bond)):
+                fh.write(f"{bond} {rank} {float(val)!r}\n")

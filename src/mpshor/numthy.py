@@ -38,7 +38,10 @@ class SemiprimeSpec:
     value: int
     p: int
     q: int
-    bit_length: int
+
+    @property
+    def bit_length(self) -> int:
+        return self.value.bit_length()
 
     def __post_init__(self):
         if self.p * self.q != self.value:
@@ -49,10 +52,6 @@ class SemiprimeSpec:
             raise ValueError(f"N={self.value} = {self.p}^2 is not square-free")
         if not (_is_prime(self.p) and _is_prime(self.q)):
             raise ValueError(f"{self.p}, {self.q} must both be prime")
-        if self.bit_length != self.value.bit_length():
-            raise ValueError(
-                f"bit_length {self.bit_length} != actual {self.value.bit_length()}"
-            )
 
 
 def _smallest_prime_factor(n: int) -> int | None:
@@ -83,7 +82,7 @@ def semiprime_spec(n: int) -> SemiprimeSpec:
         raise ValueError(f"N={n} = {p}^2 is not square-free")
     if not _is_prime(q):
         raise ValueError(f"N={n} has more than two prime factors")
-    return SemiprimeSpec(value=n, p=p, q=q, bit_length=n.bit_length())
+    return SemiprimeSpec(value=n, p=p, q=q)
 
 
 def preselect_base(n: int | SemiprimeSpec) -> int:

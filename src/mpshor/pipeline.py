@@ -102,8 +102,6 @@ def run_period_finding(
     statistics of the gates it completed: none when the build overran,
     all of them when it expires before sampling.
     """
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"a={a} shares a factor with N={n}")
     seed = config.seed if sample_seed is None else sample_seed
     t0 = time.perf_counter()
     circ = shor_order_circuit(n, a)
@@ -156,13 +154,9 @@ def postprocess(histogram: dict[int, int], a: int, n: int, t: int):
     x = pow(a, r // 2, n)
     if x == n - 1:
         return r, None, "a^(r/2) = -1 (mod N)"
-    p, q = math.gcd(x - 1, n), math.gcd(x + 1, n)
-    factors = tuple(sorted({p, q} - {1, n}))
-    if len(factors) == 1:
-        factors = (factors[0], n // factors[0])
-    if not factors:
-        return r, None, "trivial gcd"
-    return r, (min(factors), max(factors)), None
+    # x is a square root of 1 other than +-1, and N is odd: N divides (x-1)(x+1) but
+    # neither factor, and the two share no odd prime, so the gcds split N into two
+    return r, tuple(sorted((math.gcd(x - 1, n), math.gcd(x + 1, n)))), None
 
 
 def factor(n: int, config: RunConfig) -> FactorizationOutcome:

@@ -346,6 +346,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="layout width"):
             cir.circuit_from_text("width 18\nlayout 3 upper-lower-ancilla\n")
 
+    def test_decreasing_checkpoints_rejected(self):
+        # segments() would yield the gates between the two indices twice
+        with pytest.raises(ValueError, match="must not decrease"):
+            cir.circuit_from_text("width 2\ncheckpoint b 2\ncheckpoint a 1\nH 0\nX 1\n")
+        equal = cir.circuit_from_text("width 2\ncheckpoint a 1\ncheckpoint b 1\nH 0\nX 1\n")
+        assert [(label, len(gates)) for label, gates in equal.segments()] == [("a", 1), ("b", 0), ("tail", 1)]
+
     def test_three_qubit_kind_rejected(self):
         # every gate touches at most two qubits; controlled swaps come from cswap_gates
         with pytest.raises(ValueError, match="unknown gate kind"):

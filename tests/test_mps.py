@@ -183,6 +183,21 @@ class TestRunCircuit:
         assert stats.swap_count == 5
         assert stats.svd_count == 6
 
+    def test_swap_counts_its_own_swap(self):
+        # SWAP(0, 3) walks 5 steps: 4 routing swaps and the gate's own swap. The same
+        # matrix through apply_2q is a U2 gate, whose gate step is no swap
+        swap = cir.swap(0, 1).full_matrix()
+        by_kind, by_matrix, unstated = ghz(5), ghz(5), ghz(5)
+        stats = mps.run_circuit(by_kind, cir.Circuit(5, (cir.swap(0, 3),)))
+        assert (stats.gate_count, stats.svd_count, stats.swap_count, stats.max_chi, stats.peak_elements) == (1, 5, 5, 2, 32)
+        stats = mps.GateStats()
+        mps.apply_2q(by_matrix, swap, 0, 3, stats)
+        assert (stats.gate_count, stats.svd_count, stats.swap_count, stats.max_chi) == (0, 5, 4, 2)
+        mps.apply_2q(unstated, swap, 0, 3)
+        want = mps.to_statevector(by_kind)
+        assert np.abs(mps.to_statevector(by_matrix) - want).max() < 1e-12
+        assert np.abs(mps.to_statevector(unstated) - want).max() < 1e-12
+
     @pytest.mark.parametrize(
         "n, a, counts",
         [(15, 4, (1101, 5172, 4400, 2, 100)), (33, 10, (2687, 18144, 16116, 2, 152))],

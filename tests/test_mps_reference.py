@@ -127,7 +127,7 @@ def random_chain(bonds, rng, policy):
     for d in bonds[1:-1]:
         lam = np.sort(rng.uniform(0.1, 1.0, d))[::-1]
         lambdas.append(lam / np.linalg.norm(lam))
-    state = mps.MpsState(n=len(tensors), tensors=tensors, lambdas=lambdas, policy=policy)
+    state = mps.MpsState(tensors=tensors, lambdas=lambdas, policy=policy)
     state.canonical = False
     return state
 
@@ -200,6 +200,7 @@ def test_first_bond_step_matches_reference(gate):
     got_stats, ref_stats = mps.GateStats(), mps.GateStats()
     mps._apply_2q_routed(state, None if gate == "swap" else u4, 0, 1, got_stats)
     reference_apply_2q_adjacent(ref, u4, 0, ref_stats)
+    ref_stats.swap_count += gate == "swap"  # a SWAP's own swap; the reference step counts none
     assert_states_close(state, ref)
     assert_stats_equal(got_stats, ref_stats)
 
@@ -466,6 +467,28 @@ def test_bond_entropy_after_capped_steps(seed):
     assert not state.canonical
 
 
+@pytest.mark.parametrize("seed", [15, 97, 154])
+def test_dump_lambda_spectra_after_capped_steps(tmp_path, seed):
+    # after a cap the stored Schmidt vectors are stale; the dump writes the state's spectrum
+    state = mps.init_state(7, mps.TruncationPolicy(chi_max=2))
+    path = tmp_path / "spectra.txt"
+    for g in capped_gates(seed):
+        mps.apply_gate(state, g)
+        mps.dump_lambda_spectra(state, path)
+        spectra = {}
+        for line in path.read_text().splitlines()[1:]:
+            bond, _, val = line.split()
+            spectra.setdefault(int(bond), []).append(float(val))
+        assert sorted(spectra) == list(range(1, 7))
+        v = mps.to_statevector(state)
+        ref = dense.DenseState(7, v / np.linalg.norm(v))
+        for cut, vals in spectra.items():
+            p = np.array(vals) ** 2
+            p = p[p > 1e-300]
+            assert abs(-(p * np.log2(p)).sum() - dense.dense_entropy(ref, range(cut))) <= 1e-9
+    assert not state.canonical
+
+
 SPECTRUM = np.array([0.6, 0.5, 0.4, 0.3, 0.25, 0.2, 0.1, 0.05])
 
 
@@ -490,7 +513,7 @@ def chosen_spectrum_state(chi_max, cut):
     ]
     lambdas = [np.ones(4), SPECTRUM / np.linalg.norm(SPECTRUM), np.ones(4)]
     policy = mps.TruncationPolicy(chi_max, float(seen[cut]))
-    return mps.MpsState(n=4, tensors=tensors, lambdas=lambdas, policy=policy), seen
+    return mps.MpsState(tensors=tensors, lambdas=lambdas, policy=policy), seen
 
 
 @pytest.mark.parametrize(
@@ -565,7 +588,7 @@ def test_unit_bonds_hold_exactly_one_after_a_step(monkeypatch, fallback):
     else:
         gesdd_calls = spy_gesdd(monkeypatch)
     u4 = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
-    mps._apply_2q_routed(state, u4, 0, 2, None)
+    mps._apply_2q_routed(state, u4, 0, 2, mps.GateStats())
     # both swap steps exchange product sites; only the gate step calls the kernel
     assert len(gesdd_calls) == 1
     assert [lam.tolist() for lam in state.lambdas] == [[1.0], [1.0]]

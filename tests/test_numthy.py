@@ -125,8 +125,7 @@ def test_preselect_rejects_invalid():
 def test_semiprime_spec_fields():
     s = semiprime_spec(15)
     assert (s.value, s.p, s.q, s.bit_length) == (15, 3, 5, 4)
-    with pytest.raises(ValueError):
-        SemiprimeSpec(value=15, p=3, q=5, bit_length=5)
+    assert SemiprimeSpec(value=221, p=13, q=17).bit_length == 8
 
 
 def test_is_prime_matches_brute_force():

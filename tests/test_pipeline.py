@@ -96,6 +96,16 @@ class TestPostprocess:
         r, factors, reason = pl.postprocess({64: 1}, 4, 15, 8)
         assert (r, factors, reason) == (2, (3, 5), None)
 
+    def test_every_nontrivial_root_splits_odd_n(self):
+        # a base x with x^2 = 1 other than +-1, measured at phase 1/2, has order 2 and
+        # a^(r/2) = x: the two gcds it returns are always a nontrivial split of odd N
+        for n in range(3, 1000, 2):
+            t = 2 * n.bit_length()
+            for x in range(2, n - 1):
+                if x * x % n == 1:
+                    r, (p, q), reason = pl.postprocess({1 << (t - 1): 1}, x, n, t)
+                    assert (r, reason) == (2, None) and 1 < p <= q < n and p * q == n, (n, x)
+
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError):
             pl.postprocess({}, 4, 15, 8)
