@@ -39,6 +39,7 @@ class BenchRecord:
     postprocess_seconds: float
     peak_chi: int
     swap_count: int
+    kernel_count: int
     timestamp: str
     seed: int
 
@@ -78,6 +79,7 @@ def record_from_outcome(
         postprocess_seconds=outcome.timings["postprocess_seconds"],
         peak_chi=max(outcome.stats.max_chi, 1),
         swap_count=outcome.stats.swap_count,
+        kernel_count=outcome.stats.kernel_count,
         timestamp=timestamp,
         seed=seed,
     )

@@ -16,31 +16,12 @@ multiplies in the left Schmidt vector, splits by SVD, and rebuilds the
 left tensor by projecting onto the kept right singular vectors.
 
 Two-qubit gates on non-adjacent qubits are routed to adjacency with
-swap steps and routed back, so the only entangling primitive is the
-adjacent-pair SVD update; a routed gate is one loop over its swap and
-gate steps. A swap step, whether routing or an explicit ``SWAP`` gate,
-is the same update with the gate replaced by a transpose of the pair's
-two physical indices. A swap step past a qubit entangled with nothing
-needs no SVD. ``MpsState.product[l]`` flags a site that holds such a
-qubit as p (x) I_chi: every ``(1, 2, 1)`` site, and every site an
-exchange writes. A 1-qubit gate keeps the flag (U (p (x) I) is (Up)
-(x) I), an exchange moves it with its qubit, and an SVD step flags
-exactly the ``(1, 2, 1)`` sites it leaves. For a flagged site a left
-of B ``(chi, 2, chi_r)``, the step leaves B at q and a/|a| (x) I_chi_r
-at q+1, and moves ``lambdas[q+1]`` to bond q; for B ``(chi_l, 2,
-chi)`` left of a flagged site b, it leaves b/|b| (x) I_chi_l at q and
-B at q+1, and moves ``lambdas[q-1]``. A moved bond of dimension 1 gets
-a new ``[1.0]`` instead. The tensors hold the same state, and on a
-canonical chain the moved vector is the spectrum the SVD would
-compute: the flagged site passes the left Gram matrix on unchanged, so
-B's columns, weighted by the left Schmidt vector, are orthogonal with
-norms ``lambdas[q+1]`` (in the mirror case B is right-isometric, so
-theta's singular values are ``lambdas[q-1]``). A step that cuts a
-spectrum at ``chi_max`` leaves tensors that are not isometries and
-vectors that are not their cut's spectrum, so it clears
-``MpsState.canonical``, and from then on only two ``(1, 2, 1)`` sites
-are exchanged. Every other step is one call to numpy's gufunc for
-LAPACK's divide-and-conquer driver ``zgesdd``, the kernel behind
+swap steps and routed back; a routed gate is one loop over its swap
+and gate steps. A swap step, whether routing or an explicit ``SWAP``
+gate, is the gate step with the gate replaced by a transpose of the
+pair's two physical indices. A step that cannot write its sites in
+closed form (below) is one call to numpy's gufunc for LAPACK's
+divide-and-conquer driver ``zgesdd``, the kernel behind
 ``np.linalg.svd``. If it fails, numpy warns of an invalid value and
 fills the outputs with NaN, and the step falls back to the slower
 ``gesvd`` driver through scipy, which is used for nothing else and
@@ -53,6 +34,21 @@ applied to its targets in chain order instead. Truncation keeps at
 most ``chi_max`` Schmidt coefficients, drops coefficients at or below
 ``discard_threshold``, and renormalizes the spectrum.
 
+Unentangled qubits
+------------------
+``MpsState.product[l]`` flags a site that holds a qubit entangled with
+nothing as p (x) I_chi; on a canonical chain it is set exactly when the
+site is within ``discard_threshold`` of p (x) W, W unitary. Steps write
+such sites in closed form, with the Schmidt vectors the SVD step would
+keep: a swap step exchanges a flagged site with its neighbour and moves
+the bond vector the flagged site passes on unchanged; a gate step on
+two flagged sites splits u4 (p (x) p') along its larger row; and after
+the SVD of any other gate step, a written site of an unentangled qubit
+becomes p (x) I. A cut at ``chi_max`` leaves tensors that are not
+isometries and vectors that are not spectra, so it clears
+``MpsState.canonical``; from then on only ``(1, 2, 1)`` sites are
+written in closed form.
+
 Truncation bookkeeping
 ----------------------
 The few singular values of a step are read into a Python list once
@@ -60,25 +56,24 @@ The few singular values of a step are read into a Python list once
 tail past values ``<= discard_threshold`` and then caps the count at
 ``chi_max``; the discarded weight and the norm of the kept spectrum
 are sums of squares over that list. ``GateStats`` counts every step of
-a walk, exchanges included, every swap, the largest kept bond (for an
-exchange, the moved bond) and the largest discarded weight of one
-step. ``_apply_2q_routed`` is the only writer of these four counters.
-It keeps them in locals over its walk and updates the caller's stats
-once per routed gate: ``2 * (hi - lo - 1) + 1`` steps and ``2 * (hi -
-lo - 1)`` routing swaps for targets ``lo < hi``, plus the gate's own
-swap for an explicit ``SWAP``. If a step raises, the steps that
-finished before it are still counted and the swaps are not.
-``run_circuit`` counts the gates and the peak tensor size, which it
-tracks from the sizes of the span each two-qubit gate is routed
-across, the only tensors the gate changes. A step whose left bond has
-dimension 1 skips the multiply by that bond's Schmidt vector, which is
-exactly ``[1.0]``: ``init_state`` builds it so, an exchange moves only
-vectors of larger bonds and writes a new ``np.ones(1)`` where the bond
-shrinks to dimension 1, and a step that keeps one value ``s0`` stores
-``s0 / sqrt(s0 * s0)``, which is 1.0 in binary64. Multiplying by 1.0
-changes no value of theta; it could only turn a ``-0.0`` into
-``+0.0``, and no such theta arose in the Shor runs (15, 4) and (33,
-10), or (15, 7) at ``chi_max=2``.
+a walk, closed-form ones included, every kernel call (a ``gesvd``
+fallback is a second), every swap, the largest kept bond and the
+largest discarded weight of one step. ``_apply_2q_routed`` is the only
+writer of these five counters. It keeps them in locals over its walk
+and updates the caller's stats once per routed gate: ``2 * (hi - lo -
+1) + 1`` steps and ``2 * (hi - lo - 1)`` routing swaps for targets
+``lo < hi``, plus the gate's own swap for an explicit ``SWAP``. If a
+step raises, the finished steps and all kernel calls are still
+counted, and the swaps are not. ``run_circuit`` counts the gates and
+the peak tensor size, which it tracks from the span each two-qubit
+gate is routed across, the only tensors whose size the gate changes. A
+step whose left bond has dimension 1 skips the multiply by that bond's
+Schmidt vector, which is exactly ``[1.0]``: ``init_state`` builds it
+so, closed-form steps write ``np.ones(1)`` where a bond shrinks to
+dimension 1, and a step that keeps one value ``s0`` stores ``s0 /
+sqrt(s0 * s0)``, 1.0 in binary64. Multiplying by 1.0 could only turn a
+``-0.0`` into ``+0.0``, and no such theta arose in the Shor runs (15,
+4) and (33, 10), or (15, 7) at ``chi_max=2``.
 """
 
 from __future__ import annotations
@@ -140,6 +135,7 @@ class GateStats:
     gate_count: int = 0
     svd_count: int = 0
     swap_count: int = 0
+    kernel_count: int = 0
     max_chi: int = 1
     max_discarded_weight: float = 0.0
     peak_elements: int = 0
@@ -148,6 +144,7 @@ class GateStats:
         self.gate_count += other.gate_count
         self.svd_count += other.svd_count
         self.swap_count += other.swap_count
+        self.kernel_count += other.kernel_count
         self.max_chi = max(self.max_chi, other.max_chi)
         self.max_discarded_weight = max(
             self.max_discarded_weight, other.max_discarded_weight
@@ -207,6 +204,24 @@ def _gesvd(m: np.ndarray):
     return svd(m, full_matrices=False, lapack_driver="gesvd")
 
 
+def _product_site(p: np.ndarray, chi: int) -> np.ndarray:
+    """The flagged site p (x) I_chi for the qubit state p[0, :, 0], which it scales to norm 1."""
+    p0, p1 = p[0, :, 0].tolist()
+    if p.shape[0] != chi:
+        p = p[:1, :, :1] * np.eye(chi)[:, None, :] if chi > 1 else p[:1, :, :1]
+    return p / math.sqrt(abs(p0) ** 2 + abs(p1) ** 2)
+
+
+def _rank1(m: np.ndarray):
+    """Split the 2-row m as p (x) w + r, w along m's larger row: p as a (1, 2, 1) array, w, |r|^2."""
+    n0, n1 = np.vdot(m[0], m[0]).real, np.vdot(m[1], m[1]).real
+    i = int(n1 > n0)
+    g = np.vdot(m[i], m[1 - i]) / (n1 if i else n0)
+    r = m[1 - i] - g * m[i]
+    p = np.array(((g,), (1,)) if i else ((1,), (g,))) / math.sqrt(1 + abs(g) ** 2)
+    return p[None], p[:, 0].conj().dot(m), float(np.vdot(r, r).real)
+
+
 def _apply_2q_routed(
     state: MpsState,
     u4: np.ndarray | None,
@@ -216,7 +231,7 @@ def _apply_2q_routed(
 ):
     """Route (q1, q2) to adjacency with swaps, apply u4, and route back; u4=None is a SWAP.
 
-    One SVD step on each pair (q, q+1) of the walk lo..hi-2, hi-1,
+    One step on each pair (q, q+1) of the walk lo..hi-2, hi-1,
     hi-2..lo: the step on (hi-1, hi) applies u4 and every other step
     swaps the pair.
     """
@@ -225,9 +240,9 @@ def _apply_2q_routed(
         u4 = u4[_REVERSE][:, _REVERSE]
     tensors, lambdas, product = state.tensors, state.lambdas, state.product
     chi_max, threshold = state.policy.chi_max, state.policy.discard_threshold
-    gesdd = _gesdd
+    gesdd, thr2, tol = _gesdd, threshold * threshold, threshold + 1e-12
     top = hi - 1
-    done, max_keep, max_discarded = 0, 0, 0.0
+    done, kernels, max_keep, max_discarded = 0, 0, 0, 0.0
     try:
         for q in (*range(lo, top), *range(top, lo - 1, -1)):
             bl, br = tensors[q], tensors[q + 1]
@@ -239,10 +254,7 @@ def _apply_2q_routed(
                 # Past an entangled site it moves a Schmidt vector, exact only on a canonical chain;
                 # otherwise it exchanges only two (1, 2, 1) sites
                 p, chi, lam = (bl, chi_r, q + 1) if lflag else (br, chi_l, q - 1)
-                p0, p1 = p[0, :, 0].tolist()
-                if p.shape[0] != chi:  # p (x) I_chi carries the neighbour's outer bond across
-                    p = p[:1, :, :1] * np.eye(chi)[:, None, :] if chi > 1 else p[:1, :, :1]
-                p = p / math.sqrt(abs(p0) ** 2 + abs(p1) ** 2)
+                p = _product_site(p, chi)  # p (x) I_chi carries the neighbour's outer bond across
                 if chi > 1:
                     lambdas[q] = lambdas[lam]
                 elif bl.shape[2] > 1:  # the bond shrinks to dimension 1, whose vector is exactly [1.0]
@@ -253,6 +265,23 @@ def _apply_2q_routed(
                     max_keep = chi
                 done += 1
                 continue
+            if not swap and lflag and product[q + 1] and (state.canonical or chi_l == 1):
+                # two flagged sites: psi = u4 (p (x) p') ~ a (x) b, b psi's larger row. The residual
+                # |det psi|^2 / |b|^2 is at least sigma_2^2, and |b| at most sigma_1: within the
+                # threshold, the SVD step would keep the chi values lambda * sigma_1 and no other
+                (p0, p1), (r0, r1) = bl[0, :, 0].tolist(), br[0, :, 0].tolist()
+                x00, x01, x10, x11 = u4.dot((p0 * r0, p0 * r1, p1 * r0, p1 * r1)).tolist()
+                n0, n1 = abs(x00) ** 2 + abs(x01) ** 2, abs(x10) ** 2 + abs(x11) ** 2
+                if flip := n1 > n0:
+                    x00, x01, x10, x11, n0 = x10, x11, x00, x01, n1
+                lam, res = lambdas[q - 1][-1] if chi_l > 1 else 1.0, abs(x00 * x11 - x01 * x10) ** 2
+                if n0 * lam * lam > thr2 and res <= thr2 * n0:
+                    g = (x10 * x00.conjugate() + x11 * x01.conjugate()) / n0
+                    a, b = np.array(((g, 1) if flip else (1, g), (x00, x01))).reshape(2, 1, 2, 1)
+                    tensors[q], tensors[q + 1] = _product_site(a, chi_l), _product_site(b, chi_l)
+                    max_keep, max_discarded = max(max_keep, chi_l), max(max_discarded, res / n0)
+                    done += 1
+                    continue
             c = bl.reshape(2 * chi_l, -1).dot(br.reshape(-1, 2 * chi_r))  # ((chi_l, i), (j, chi_r))
             if swap:
                 c = c.reshape(chi_l, 2, 2, chi_r).transpose(0, 2, 1, 3).reshape(2 * chi_l, 2 * chi_r)
@@ -263,9 +292,11 @@ def _apply_2q_routed(
             else:
                 theta = (c.reshape(chi_l, -1) * lambdas[q - 1][:, None]).reshape(2 * chi_l, -1)
             _, s, vh = gesdd(theta, signature="D->DdD")
+            kernels += 1
             sl = s.tolist()  # descending
             if sl[0] != sl[0]:  # gesdd failed, and the gufunc filled its outputs with NaN
                 _, s, vh = _gesvd(theta)
+                kernels += 1
                 sl = s.tolist()
             keep = len(sl)
             while keep and sl[keep - 1] <= threshold:
@@ -292,9 +323,28 @@ def _apply_2q_routed(
             if keep > max_keep:
                 max_keep = keep
             done += 1
+            if swap or not state.canonical:
+                continue
+            # an unentangled qubit's site holds p (x) W, W unitary, and the kept spectrum is then its
+            # outer bond's vector up to the residual (Mirsky) and rounding. Within the threshold of
+            # p (x) W, the site becomes p (x) I, and W' moves left or W right (past flagged sites)
+            for t, outer, chi in ((q, q - 1, chi_l), (q + 1, q + 1, chi_r)):
+                if chi == keep > 1 and math.dist(lambdas[q].tolist(), lambdas[outer].tolist()) <= tol:
+                    p, w, res = _rank1(tensors[t].transpose(1, 0, 2).reshape(2, -1))
+                    if res > thr2:
+                        continue
+                    w = w.reshape(chi, chi)
+                    if t == q or product[q]:
+                        u = product.index(False, t + 1)
+                        tensors[u] = w.dot(tensors[u].reshape(chi, -1)).reshape(tensors[u].shape)
+                    else:
+                        tensors[q] = tensors[q].reshape(-1, chi).dot(w).reshape(chi_l, 2, chi)
+                    tensors[t], product[t], lambdas[q] = _product_site(p, chi), True, lambdas[outer]
+                    max_discarded = max(max_discarded, res)
     finally:
         # once per gate: the steps that finished, even if a later one raised
         stats.svd_count += done
+        stats.kernel_count += kernels
         if max_keep > stats.max_chi:
             stats.max_chi = max_keep
         if max_discarded > stats.max_discarded_weight:
@@ -359,7 +409,7 @@ def run_circuit(state: MpsState, circ: Circuit, deadline: float | None = None) -
         if g.arity == 1:  # 1-qubit gates never change tensor shapes
             apply_gate(state, g, stats)
         else:
-            # a gate changes only the tensors of the span it is routed across
+            # a gate changes the sizes of only the tensors of the span it is routed across
             lo, hi = min(g.targets), max(g.targets) + 1
             before = sum([t.size for t in tensors[lo:hi]])
             apply_gate(state, g, stats)

@@ -97,7 +97,7 @@ class TestRecordSerialization:
         columns = [
             "n_value", "bit_length", "mode", "a_used", "shots", "status",
             "circuit_build_seconds", "simulation_seconds", "postprocess_seconds",
-            "peak_chi", "swap_count", "timestamp", "seed",
+            "peak_chi", "swap_count", "kernel_count", "timestamp", "seed",
         ]
         text = bench.records_to_csv(self._records())
         assert text.splitlines()[0] == ",".join(columns)
@@ -109,7 +109,7 @@ class TestRecordSerialization:
             bench.BenchRecord(
                 n_value=15, bit_length=4, mode="random", a_used=None, shots=8,
                 status="timeout", circuit_build_seconds=0.0, simulation_seconds=0.0,
-                postprocess_seconds=0.0, peak_chi=1, swap_count=0, timestamp="", seed=0,
+                postprocess_seconds=0.0, peak_chi=1, swap_count=0, kernel_count=0, timestamp="", seed=0,
             )
         ]
         assert bench.records_from_csv(bench.records_to_csv(records)) == records
@@ -120,7 +120,7 @@ class TestRecordSerialization:
             bench.BenchRecord(
                 n_value=15, bit_length=4, mode="preselected", a_used=4, shots=8,
                 status="meh", circuit_build_seconds=0, simulation_seconds=0,
-                postprocess_seconds=0, peak_chi=1, swap_count=0, timestamp="", seed=0,
+                postprocess_seconds=0, peak_chi=1, swap_count=0, kernel_count=0, timestamp="", seed=0,
             )
 
 

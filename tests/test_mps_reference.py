@@ -12,7 +12,14 @@ import scipy.linalg
 
 from mpshor import circuit as cir
 from mpshor import dense, mps
-from util import assert_canonical, assert_product_flags, haar_unitary, random_circuit, spy_gesdd
+from util import (
+    assert_canonical,
+    assert_flags_exact,
+    assert_product_flags,
+    haar_unitary,
+    random_circuit,
+    spy_gesdd,
+)
 
 _SWAP4 = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -248,11 +255,12 @@ def test_routed_cphase_matches_reference(chi_l, chi_r, d, reverse, policy):
 
 
 PRODUCT_WALKS = {
-    # gate, kernel calls: only the gate step calls the kernel. Every swap step passes a
-    # product site, on the way back too, where the entangled pair passes product sites
+    # gate, kernel calls: only the gate step calls the kernel, and not even that for a product
+    # gate, whose result it splits in closed form. Every swap step passes a product site, on
+    # the way back too, where the entangled pair passes product sites
     "cphase": (lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 1, 4), 1),
     "haar": (lambda rng: cir.unitary2(haar_unitary(4, rng), 0, 3), 1),
-    "product_gate": (lambda rng: cir.unitary2(np.kron(haar_unitary(2, rng), haar_unitary(2, rng)), 0, 4), 1),
+    "product_gate": (lambda rng: cir.unitary2(np.kron(haar_unitary(2, rng), haar_unitary(2, rng)), 0, 4), 0),
     "swap": (lambda rng: cir.swap(0, 4), 0),
     "reversed_haar": (lambda rng: cir.unitary2(haar_unitary(4, rng), 4, 1), 1),
     "reversed_cphase": (lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 3, 0), 1),
@@ -378,6 +386,93 @@ def test_swap_of_carried_product_sites_calls_no_kernel(monkeypatch, policy):
     assert_canonical(state, TOL)
 
 
+def spanned_chain(policy, rng, basis, far=4):
+    """Six sites in Haar product states, qubits in `basis` in |1> instead; then a Haar gate on (1, far).
+
+    The gate's walk leaves the unentangled qubits 2..far-1 flagged as
+    p (x) I_2 inside the bonds of the entangled pair (1, far).
+    """
+    state = mps.init_state(6, policy)
+    for q in range(6):
+        mps.apply_gate(state, cir.x(q) if q in basis else cir.unitary1(haar_unitary(2, rng), q))
+    mps.apply_gate(state, cir.unitary2(haar_unitary(4, rng), 1, far))
+    assert all(t.shape == (2, 2, 2) for t in state.tensors[2:far]) and all(state.product[2:far])
+    return state
+
+
+GATE_STEP_PATHS = {
+    # |1> qubits, far end of the entangled pair, gates, kernel calls of the last gate, sites
+    # 2 and 3 flagged after it. Path 1: two flagged sites. A product gate leaves them
+    # unentangled, a Haar gate does not
+    "two_flagged_product": (
+        (), 4, lambda rng: [cir.unitary2(np.kron(haar_unitary(2, rng), haar_unitary(2, rng)), 2, 3)], 0, [2, 3]
+    ),
+    "two_flagged_entangling": ((), 4, lambda rng: [cir.unitary2(haar_unitary(4, rng), 2, 3)], 1, []),
+    # path 2: a CPHASE whose control is |1> leaves it unentangled, left or right of the entangled target
+    "left_unentangled": ((3,), 4, lambda rng: [cir.cphase(float(rng.uniform(0, 2 * np.pi)), 3, 4)], 1, [2, 3]),
+    "right_unentangled": ((2,), 4, lambda rng: [cir.cphase(float(rng.uniform(0, 2 * np.pi)), 1, 2)], 1, [2, 3]),
+    # an ancilla computed into qubit 3 by a CX and uncomputed by a second: both sites unentangled
+    # again, and the unitary between them moves into site 4, or past the flagged site 4 into site 5
+    "both_unentangled": ((), 4, lambda rng: [cir.cx(2, 3), cir.cx(2, 3)], 1, [2, 3]),
+    "both_unentangled_past_flagged": ((), 5, lambda rng: [cir.cx(2, 3), cir.cx(2, 3)], 1, [2, 3]),
+}
+
+
+@pytest.mark.parametrize("policy", ["default", "exact"])
+@pytest.mark.parametrize("case", list(GATE_STEP_PATHS))
+def test_gate_step_paths_match_svd_steps(monkeypatch, case, policy):
+    # the closed-form split of two flagged sites (path 1) and the flag of a site an SVD step
+    # leaves unentangled (path 2) hold the SVD steps' state, spectra and counts, and keep the
+    # chain canonical with every flag exact
+    rng = np.random.default_rng(list(GATE_STEP_PATHS).index(case))
+    basis, far, make_gates, kernel_calls, flagged = GATE_STEP_PATHS[case]
+    state = spanned_chain(POLICIES[policy], rng, basis, far)
+    gesdd_calls = spy_gesdd(monkeypatch)
+    for g in make_gates(rng):
+        ref = state.copy()
+        calls = len(gesdd_calls)
+        got_stats, ref_stats = mps.GateStats(), mps.GateStats()
+        mps.apply_gate(state, g, got_stats)
+        assert got_stats.kernel_count == len(gesdd_calls) - calls
+        reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
+        ints = [(st.gate_count, st.svd_count, st.swap_count, st.max_chi) for st in (got_stats, ref_stats)]
+        assert ints[0] == ints[1]
+        # a closed-form write drops a residual of at most the threshold squared, which the SVD
+        # steps' record need not include
+        threshold = state.policy.discard_threshold
+        assert got_stats.max_discarded_weight <= ref_stats.max_discarded_weight + threshold**2
+        assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
+        for lam, ref_lam in zip(state.lambdas, ref.lambdas):
+            assert lam.shape == ref_lam.shape
+            assert np.abs(lam - ref_lam).max() <= TOL
+        assert_canonical(state, TOL)
+        assert_product_flags(state)
+        assert_flags_exact(state)
+    assert got_stats.kernel_count == kernel_calls
+    assert [q for q in (2, 3) if state.product[q]] == flagged
+
+
+@pytest.mark.parametrize("case", ["two_flagged_product", "left_unentangled"])
+def test_gate_step_paths_skipped_off_canonical_chains(monkeypatch, case):
+    # without a canonical chain the stored vectors are not the spectra either path relies on:
+    # the gate step is an SVD step, which flags only (1, 2, 1) sites
+    rng = np.random.default_rng(list(GATE_STEP_PATHS).index(case))
+    basis, far, make_gates, _, _ = GATE_STEP_PATHS[case]
+    state = spanned_chain(POLICIES["default"], rng, basis, far)
+    state.canonical = False
+    ref = state.copy()
+    gesdd_calls = spy_gesdd(monkeypatch)
+    (g,) = make_gates(rng)
+    got_stats, ref_stats = mps.GateStats(), mps.GateStats()
+    mps.apply_gate(state, g, got_stats)
+    assert len(gesdd_calls) == got_stats.kernel_count == 1
+    reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
+    assert_stats_equal(got_stats, ref_stats)
+    assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
+    assert [state.product[q] for q in g.targets] == [False, False]
+    assert_product_flags(state)
+
+
 def capped_gates(seed):
     """Haar gates among 4 of 7 qubits, capped at chi 2, and swaps and product gates on any pair.
 
@@ -421,7 +516,8 @@ def test_capped_chain_walks_match_svd_steps(seed):
 
 @pytest.mark.parametrize("run", ["shor-15-4", "shor-33-10", "capped-15", "capped-97", "capped-154"])
 def test_product_flags_after_every_gate(run):
-    # the exchange trusts the flags, so after every gate each must still mark exactly p (x) I
+    # the exchange trusts the flags, so after every gate each must still mark exactly p (x) I;
+    # while the chain is canonical, every unentangled qubit must be flagged too
     kind, *args = run.split("-")
     if kind == "shor":
         circ = cir.shor_order_circuit(*map(int, args))
@@ -429,12 +525,15 @@ def test_product_flags_after_every_gate(run):
     else:
         state, gates = mps.init_state(7, mps.TruncationPolicy(chi_max=2)), capped_gates(int(args[0]))
     assert_product_flags(state)
-    flagged_inside_bonds = 0
+    flagged_inside_bonds = canonical_gates = 0
     for g in gates:
         mps.apply_gate(state, g)
         assert_product_flags(state)
+        if state.canonical:
+            assert_flags_exact(state)
+            canonical_gates += 1
         flagged_inside_bonds += sum(f and t.shape[0] > 1 for f, t in zip(state.product, state.tensors))
-    assert flagged_inside_bonds > 0
+    assert flagged_inside_bonds > 0 and canonical_gates > 0
 
 
 def test_copy_carries_product_flags(monkeypatch):
@@ -546,20 +645,21 @@ def test_keep_rule_drops_whole_spectrum_at_threshold():
     with pytest.raises(mps.TruncationError, match="all 8 Schmidt coefficients"):
         mps._apply_2q_routed(state, np.eye(4, dtype=complex), 1, 2, stats)
     assert_states_close(state, before, tol=0)
-    assert stats == mps.GateStats()
+    assert stats == mps.GateStats(kernel_count=1)  # the kernel ran; no step finished
 
 
 def test_truncation_error_mid_walk_keeps_finished_steps():
     # the walk of a gate on (0, 3) steps on bonds 0, 1, 2, 1, 0; site 2 is zero,
     # so the second step's theta is zero and nothing can be kept. The caller's
-    # stats count the one finished step and, as the walk did not complete, no swaps
+    # stats count the one finished step, both kernel calls and, as the walk did
+    # not complete, no swaps
     rng = np.random.default_rng(9)
     state = random_chain((1, 2, 2, 2, 1), rng, mps.TruncationPolicy())
     state.tensors[2] = np.zeros((2, 2, 2), dtype=complex)
     stats = mps.GateStats(gate_count=4, svd_count=10, swap_count=6)
     with pytest.raises(mps.TruncationError, match="all 4 Schmidt coefficients .* at bond 1"):
         mps._apply_2q_routed(state, haar_unitary(4, rng), 0, 3, stats)
-    assert stats == mps.GateStats(gate_count=4, svd_count=11, swap_count=6, max_chi=2)
+    assert stats == mps.GateStats(gate_count=4, svd_count=11, swap_count=6, kernel_count=2, max_chi=2)
     assert state.lambdas[0].size == 2
 
 
@@ -577,20 +677,22 @@ def failing_gesdd(calls):
 
 @pytest.mark.parametrize("fallback", [False, True])
 def test_unit_bonds_hold_exactly_one_after_a_step(monkeypatch, fallback):
-    # a product chain whose norm is not one: every step keeps one value s0 and
-    # stores s0 / sqrt(s0 * s0), which is exactly 1.0 on either SVD driver
+    # a Bell pair of norm 0.7 next to a product site: the CX that disentangles the pair
+    # is a step the kernel must split, and it keeps one value s0. The step stores
+    # s0 / sqrt(s0 * s0), which is exactly 1.0 on either SVD driver
     rng = np.random.default_rng(4)
-    state = random_chain((1, 1, 1, 1), rng, mps.TruncationPolicy())
-    state.tensors[0] *= 0.7
+    state = random_chain((1, 2, 1, 1), rng, mps.TruncationPolicy())
+    state.tensors[0] = 0.7 * np.eye(2, dtype=complex).reshape(1, 2, 2)
+    state.tensors[1] = np.eye(2, dtype=complex).reshape(2, 2, 1) / np.sqrt(2)
+    state.lambdas[0] = np.full(2, 1 / np.sqrt(2))
     if fallback:
         gesdd_calls = []
         monkeypatch.setattr(mps, "_gesdd", failing_gesdd(gesdd_calls))
     else:
         gesdd_calls = spy_gesdd(monkeypatch)
-    u4 = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
-    mps._apply_2q_routed(state, u4, 0, 2, mps.GateStats())
-    # both swap steps exchange product sites; only the gate step calls the kernel
-    assert len(gesdd_calls) == 1
+    stats = mps.GateStats()
+    mps._apply_2q_routed(state, cir.cx(0, 1).full_matrix(), 0, 1, stats)
+    assert len(gesdd_calls) == 1 and stats.kernel_count == 1 + fallback
     assert [lam.tolist() for lam in state.lambdas] == [[1.0], [1.0]]
     assert [np.linalg.norm(t) for t in state.tensors] == pytest.approx([1.0] * 3, abs=1e-15)
 

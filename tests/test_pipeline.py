@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 import time
@@ -284,6 +286,15 @@ class TestOutcomeSerialization:
         assert "\n" not in line
         back = pl.outcome_from_json(line)
         assert back == out
+
+    def test_record_without_kernel_count(self):
+        # records written before GateStats counted kernel calls still read, with a count of 0
+        out = pl.factor(15, pl.RunConfig(seed=1))
+        assert 0 < out.stats.kernel_count < out.stats.svd_count
+        record = json.loads(pl.outcome_to_json(out))
+        del record["stats"]["kernel_count"]
+        back = pl.outcome_from_json(json.dumps(record))
+        assert back.stats == dataclasses.replace(out.stats, kernel_count=0)
 
     def test_round_trip_failure_record(self):
         out = pl.factor(21, pl.RunConfig(mode="random", seed=9, max_attempts=1))

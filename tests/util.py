@@ -105,3 +105,22 @@ def spy_gesdd(monkeypatch):
 
     monkeypatch.setattr(mps, "_gesdd", gesdd)
     return calls
+
+
+def assert_flags_exact(state):
+    """Assert on a canonical chain that a site is flagged exactly when its qubit is unentangled.
+
+    The gauge makes the left states at bond l-1 orthogonal with norms
+    lambdas[l-1] and the right states at bond l orthonormal, so qubit l's
+    coefficients form the 2 x (chi_l * chi_r) matrix lambdas[l-1][a] *
+    T_l[a, i, b] over i and (a, b). Its second singular value, the rank-1
+    residual, must be at most discard_threshold on a flagged site and above
+    it on every other.
+    """
+    assert state.canonical, "flags are exact only on a canonical chain"
+    for l, (t, flagged) in enumerate(zip(state.tensors, state.product)):
+        lam = state.lambdas[l - 1] if l else np.ones(1)
+        m = (lam[:, None, None] * t).transpose(1, 0, 2).reshape(2, -1)
+        residual = np.append(np.linalg.svd(m, compute_uv=False), 0.0)[1]  # 0 for a 2 x 1 matrix
+        unentangled = residual <= state.policy.discard_threshold
+        assert flagged == unentangled, f"site {l}: flagged {flagged}, rank-1 residual {residual:.3g}"
