@@ -49,6 +49,16 @@ isometries and vectors that are not spectra, so it clears
 ``MpsState.canonical``; from then on only ``(1, 2, 1)`` sites are
 written in closed form.
 
+Restored steps
+--------------
+The next gate from the same low qubit swaps back the pairs a gate's
+walk back swapped. Each back-step on a canonical chain logs, by pair,
+the arrays it read and left, and an up-step of the next routed gate
+that finds its sites and bond vectors as left (by identity, as the
+engine writes no stored array in place) puts back what was read with
+no kernel call: swap . swap = I, so that is the SVD step's result up
+to gauge and the dropped tail at or below ``discard_threshold``.
+
 Truncation bookkeeping
 ----------------------
 The few singular values of a step are read into a Python list once
@@ -81,6 +91,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import is_
 
 import numpy as np
 import numpy.random  # used by sample; imported here so its load is part of start-up
@@ -162,6 +173,8 @@ class MpsState:
     canonical: bool = field(default=True, init=False)
     #: product[l]: site l holds p (x) I_chi, a qubit entangled with nothing
     product: list[bool] = field(init=False)
+    #: the last routed gate's back-steps, pair q -> (the arrays each left at q, those it read)
+    _undo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.product = [t.shape == (1, 2, 1) for t in self.tensors]
@@ -212,6 +225,11 @@ def _product_site(p: np.ndarray, chi: int) -> np.ndarray:
     return p / math.sqrt(abs(p0) ** 2 + abs(p1) ** 2)
 
 
+def _seen(tensors: list, lambdas: list, q: int) -> tuple:
+    """The arrays a step on (q, q+1) reads: both sites and the bond vectors at q-1 (if any), q and q+1."""
+    return tensors[q], tensors[q + 1], lambdas[q - 1] if q else None, lambdas[q], lambdas[q + 1]
+
+
 def _rank1(m: np.ndarray):
     """Split the 2-row m as p (x) w + r, w along m's larger row: p as a (1, 2, 1) array, w, |r|^2."""
     n0, n1 = np.vdot(m[0], m[0]).real, np.vdot(m[1], m[1]).real
@@ -243,13 +261,21 @@ def _apply_2q_routed(
     gesdd, thr2, tol = _gesdd, threshold * threshold, threshold + 1e-12
     top = hi - 1
     done, kernels, max_keep, max_discarded = 0, 0, 0, 0.0
+    undo, state._undo = state._undo, {}
     try:
-        for q in (*range(lo, top), *range(top, lo - 1, -1)):
+        q = lo
+        while undo and q < top and state.canonical and (entry := undo.get(q)):  # the last gate's back-step
+            if not all(map(is_, entry[0], _seen(tensors, lambdas, q))):
+                break
+            # the pair is as that step left it, so this up-step swaps it back: put back what it read
+            tensors[q], tensors[q + 1], lambdas[q], product[q], product[q + 1] = entry[1]
+            max_keep, done, q = max(max_keep, lambdas[q].size), done + 1, q + 1
+        for q in (*range(q, top), *range(top, lo - 1, -1)):
             bl, br = tensors[q], tensors[q + 1]
             chi_l, chi_r = bl.shape[0], br.shape[2]
             swap = q != top or u4 is None
-            lflag = product[q]
-            if swap and (lflag or product[q + 1]) and (state.canonical or chi_l == chi_r == 1):
+            lflag, rflag, lam_q = product[q], product[q + 1], lambdas[q]
+            if swap and (lflag or rflag) and (state.canonical or chi_l == chi_r == 1):
                 # a flagged site p (x) I passes its neighbour: the exchange is the step's closed form.
                 # Past an entangled site it moves a Schmidt vector, exact only on a canonical chain;
                 # otherwise it exchanges only two (1, 2, 1) sites
@@ -264,6 +290,8 @@ def _apply_2q_routed(
                 if chi > max_keep:
                     max_keep = chi
                 done += 1
+                if done > hi - lo and state.canonical:  # a back-step: log what it left and read
+                    state._undo[q] = _seen(tensors, lambdas, q), (bl, br, lam_q, lflag, rflag)
                 continue
             if not swap and lflag and product[q + 1] and (state.canonical or chi_l == 1):
                 # two flagged sites: psi = u4 (p (x) p') ~ a (x) b, b psi's larger row. The residual
@@ -323,6 +351,8 @@ def _apply_2q_routed(
             if keep > max_keep:
                 max_keep = keep
             done += 1
+            if done > hi - lo and state.canonical:  # a back-step, logged as above
+                state._undo[q] = _seen(tensors, lambdas, q), (bl, br, lam_q, lflag, rflag)
             if swap or not state.canonical:
                 continue
             # an unentangled qubit's site holds p (x) W, W unitary, and the kept spectrum is then its

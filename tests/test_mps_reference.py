@@ -552,6 +552,101 @@ def test_copy_carries_product_flags(monkeypatch):
     assert_states_close(copied, state, tol=0)
 
 
+def haar_gate(rng, q1, q2):
+    return cir.unitary2(haar_unitary(4, rng), q1, q2)
+
+
+RESTORING_PAIRS = {
+    # first gate, second gate from the same low qubit 0, up-steps of the second that undo the
+    # first's back-steps: those on the bonds both walks cross, short of the second's gate step
+    "haar": (lambda rng: haar_gate(rng, 0, 3), lambda rng: haar_gate(rng, 0, 5), 2),
+    "cphase": (lambda rng: cir.cphase(1.1, 0, 4), lambda rng: cir.cphase(0.3, 0, 5), 3),
+    "reversed": (lambda rng: haar_gate(rng, 4, 0), lambda rng: haar_gate(rng, 3, 0), 2),
+    "swap_then_haar": (lambda rng: cir.swap(0, 3), lambda rng: haar_gate(rng, 0, 4), 2),
+    "nearer_second": (lambda rng: cir.cphase(2.0, 0, 5), lambda rng: cir.cphase(0.7, 0, 2), 1),
+}
+
+
+def entangled_chain(policy, rng):
+    """`canonical_chain` with a Haar gate on every pair: no qubit is unentangled, no step exchanges."""
+    state = canonical_chain(range(5), policy, rng)
+    assert not any(state.product)
+    return state
+
+
+@pytest.mark.parametrize("policy", ["default", "exact"])
+@pytest.mark.parametrize("case", list(RESTORING_PAIRS))
+def test_up_steps_restore_last_back_steps(monkeypatch, case, policy):
+    # the second gate's up-steps swap back pairs the first gate's walk back left untouched: each
+    # puts back what that back-step read, with no kernel call, and the result is the SVD steps'
+    rng = np.random.default_rng(list(RESTORING_PAIRS).index(case))
+    first, second, restored = RESTORING_PAIRS[case]
+    state = entangled_chain(POLICIES[policy], rng)
+    ref = state.copy()
+    gesdd_calls = spy_gesdd(monkeypatch)
+    for g, skipped in ((first(rng), 0), (second(rng), restored)):
+        calls = len(gesdd_calls)
+        got_stats, ref_stats = mps.GateStats(), mps.GateStats()
+        mps.apply_gate(state, g, got_stats)
+        assert len(gesdd_calls) - calls == got_stats.kernel_count == got_stats.svd_count - skipped
+        if g.kind == "SWAP":
+            ref_stats.swap_count += 1
+        reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
+        ints = [(st.svd_count, st.swap_count, st.max_chi) for st in (got_stats, ref_stats)]
+        assert ints[0] == ints[1]
+    assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
+    for lam, ref_lam in zip(state.lambdas, ref.lambdas):
+        assert lam.shape == ref_lam.shape
+        assert np.abs(lam - ref_lam).max() <= TOL
+    assert_canonical(state, TOL)
+    assert_product_flags(state)
+    assert_flags_exact(state)
+
+
+@pytest.mark.parametrize(
+    "between, restored",
+    [
+        ("one_qubit_gate_at_0", 0),
+        ("one_qubit_gate_at_1", 0),
+        ("one_qubit_gate_at_2", 1),  # the restores stop at the first pair that was touched
+        ("one_qubit_gate_at_5", 2),  # outside both walks
+        ("other_low_qubit", 0),
+        ("capped_chain", 0),
+        ("copy", 0),
+    ],
+)
+def test_up_steps_restore_only_untouched_pairs(monkeypatch, between, restored):
+    # after a first gate on (0, 3), the second gate's up-steps on bonds 0 and 1 restore only what
+    # is still as the first's walk back left it, on a canonical chain. Every other step calls
+    # the kernel, as with no log
+    rng = np.random.default_rng(5)
+    state = entangled_chain(POLICIES["default"], rng)
+    if between == "capped_chain":
+        state.policy = mps.TruncationPolicy(chi_max=2)  # the first gate's walk cuts a bond of 4
+    ref = state.copy()
+    gates = [haar_gate(rng, 0, 3)]
+    if between.startswith("one_qubit_gate_at_"):
+        gates.append(cir.unitary1(haar_unitary(2, rng), int(between[-1])))
+    gates.append(haar_gate(rng, 1 if between == "other_low_qubit" else 0, 4))
+    for g in gates[:-1]:
+        mps.apply_gate(state, g)
+        if g.arity == 1:
+            mps.apply_gate(ref, g)
+        else:
+            reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, mps.GateStats())
+    if between == "copy":
+        state = state.copy()
+        assert state._undo == {}
+    gesdd_calls = spy_gesdd(monkeypatch)
+    got_stats, ref_stats = mps.GateStats(), mps.GateStats()
+    mps.apply_gate(state, gates[-1], got_stats)
+    assert len(gesdd_calls) == got_stats.kernel_count == got_stats.svd_count - restored
+    reference_apply_2q_routed(ref, gates[-1].full_matrix(), *gates[-1].targets, ref_stats)
+    assert_stats_equal(got_stats, ref_stats)
+    assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
+    assert state.canonical == (between != "capped_chain")
+
+
 @pytest.mark.parametrize("seed", [15, 97, 154])
 def test_bond_entropy_after_capped_steps(seed):
     # a capped step leaves Schmidt vectors that are not their cut's spectrum (off by up
