@@ -66,6 +66,8 @@ _KIND_ARITY = {
 }
 _ANGLED = {"PHASE", "CPHASE"}
 _MATRIXED = {"U1", "U2"}
+#: fields of each header record of the circuit text, its name included; "measured" takes any number
+_HEADER_FIELDS = {"width": 2, "layout": 3, "checkpoint": 3}
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,6 +496,13 @@ def circuit_from_text(text: str) -> Circuit:
             continue
         tokens = line.split()
         head = tokens[0]
+        if head in _KIND_ARITY:
+            entries = {"U1": 4, "U2": 16}.get(head, 0)
+            fields = 1 + _KIND_ARITY[head] + (head in _ANGLED) + entries
+        else:
+            fields = _HEADER_FIELDS.get(head, len(tokens))  # an unknown head is rejected below
+        if len(tokens) != fields:
+            raise ValueError(f"cannot parse line {line!r}")
         if head == "width":
             width = int(tokens[1])
         elif head == "layout":

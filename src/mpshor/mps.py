@@ -36,18 +36,20 @@ most ``chi_max`` Schmidt coefficients, drops coefficients at or below
 
 Unentangled qubits
 ------------------
-``MpsState.product[l]`` flags a site that holds a qubit entangled with
-nothing as p (x) I_chi; on a canonical chain it is set exactly when the
-site is within ``discard_threshold`` of p (x) W, W unitary. Steps write
-such sites in closed form, with the Schmidt vectors the SVD step would
-keep: a swap step exchanges a flagged site with its neighbour and moves
-the bond vector the flagged site passes on unchanged; a gate step on
-two flagged sites splits u4 (p (x) p') along its larger row; and after
-the SVD of any other gate step, a written site of an unentangled qubit
-becomes p (x) I. A cut at ``chi_max`` leaves tensors that are not
-isometries and vectors that are not spectra, so it clears
-``MpsState.canonical``; from then on only ``(1, 2, 1)`` sites are
-written in closed form.
+A ``(1, 2, 1)`` site holds the state p of a qubit entangled with
+nothing and stands for p (x) I over its two bonds, which have the
+dimension of its ``lambdas`` entry; `_sites` writes it out for the
+readers. On a canonical chain a site has that shape exactly when it is
+within ``discard_threshold`` of p (x) W, W unitary. Steps write such
+sites in closed form, with the Schmidt vectors the SVD step would keep:
+a swap step exchanges a ``(1, 2, 1)`` site with its neighbour and moves
+the bond vector the site passes on unchanged; a gate step on two such
+sites splits u4 (p (x) p') along its larger row into unit 2-vectors;
+and after the SVD of any other gate step, a written site of an
+unentangled qubit is stored as its p. A cut at ``chi_max`` leaves
+tensors that are not isometries and vectors that are not spectra, so
+it clears ``MpsState.canonical``; from then on only sites between
+bonds of dimension 1 are written in closed form.
 
 Restored steps
 --------------
@@ -75,8 +77,9 @@ and updates the caller's stats once per routed gate: ``2 * (hi - lo -
 ``lo < hi``, plus the gate's own swap for an explicit ``SWAP``. If a
 step raises, the finished steps and all kernel calls are still
 counted, and the swaps are not. ``run_circuit`` counts the gates and
-the peak tensor size, which it tracks from the span each two-qubit
-gate is routed across, the only tensors whose size the gate changes. A
+the peak number of stored tensor entries, 2 for a ``(1, 2, 1)`` site
+whatever its bonds, which it tracks from the span each two-qubit gate
+is routed across, the only tensors whose size the gate changes. A
 step whose left bond has dimension 1 skips the multiply by that bond's
 Schmidt vector, which is exactly ``[1.0]``: ``init_state`` builds it
 so, closed-form steps write ``np.ones(1)`` where a bond shrinks to
@@ -171,13 +174,8 @@ class MpsState:
     #: every tensor right-isometric and every lambda its cut's exact spectrum;
     #: cleared for good by the first step that cuts a spectrum at chi_max
     canonical: bool = field(default=True, init=False)
-    #: product[l]: site l holds p (x) I_chi, a qubit entangled with nothing
-    product: list[bool] = field(init=False)
     #: the last routed gate's back-steps, pair q -> (the arrays each left at q, those it read)
     _undo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.product = [t.shape == (1, 2, 1) for t in self.tensors]
 
     @property
     def n(self) -> int:
@@ -190,7 +188,6 @@ class MpsState:
             policy=self.policy,
         )
         new.canonical = self.canonical
-        new.product = self.product.copy()
         return new
 
     def element_count(self) -> int:
@@ -217,12 +214,16 @@ def _gesvd(m: np.ndarray):
     return svd(m, full_matrices=False, lapack_driver="gesvd")
 
 
-def _product_site(p: np.ndarray, chi: int) -> np.ndarray:
-    """The flagged site p (x) I_chi for the qubit state p[0, :, 0], which it scales to norm 1."""
-    p0, p1 = p[0, :, 0].tolist()
-    if p.shape[0] != chi:
-        p = p[:1, :, :1] * np.eye(chi)[:, None, :] if chi > 1 else p[:1, :, :1]
-    return p / math.sqrt(abs(p0) ** 2 + abs(p1) ** 2)
+def _spanned(t: np.ndarray, chi: int) -> np.ndarray:
+    """Site t over bonds of dimension chi: a (1, 2, 1) site p inside them is p (x) I_chi."""
+    return t * np.eye(chi)[:, None, :] if chi > 1 and t.shape == (1, 2, 1) else t
+
+
+def _sites(state: MpsState):
+    """Each site of the chain as (left bond, 2, right bond), for the readers."""
+    for t, lam in zip(state.tensors, state.lambdas):
+        yield _spanned(t, lam.size)
+    yield state.tensors[-1]  # its right bond has dimension 1
 
 
 def _seen(tensors: list, lambdas: list, q: int) -> tuple:
@@ -256,7 +257,7 @@ def _apply_2q_routed(
     lo, hi = (q1, q2) if q1 < q2 else (q2, q1)
     if q1 > q2 and u4 is not None:
         u4 = u4[_REVERSE][:, _REVERSE]
-    tensors, lambdas, product = state.tensors, state.lambdas, state.product
+    tensors, lambdas = state.tensors, state.lambdas
     chi_max, threshold = state.policy.chi_max, state.policy.discard_threshold
     gesdd, thr2, tol = _gesdd, threshold * threshold, threshold + 1e-12
     top = hi - 1
@@ -268,36 +269,35 @@ def _apply_2q_routed(
             if not all(map(is_, entry[0], _seen(tensors, lambdas, q))):
                 break
             # the pair is as that step left it, so this up-step swaps it back: put back what it read
-            tensors[q], tensors[q + 1], lambdas[q], product[q], product[q + 1] = entry[1]
+            tensors[q], tensors[q + 1], lambdas[q] = entry[1]
             max_keep, done, q = max(max_keep, lambdas[q].size), done + 1, q + 1
         for q in (*range(q, top), *range(top, lo - 1, -1)):
-            bl, br = tensors[q], tensors[q + 1]
-            chi_l, chi_r = bl.shape[0], br.shape[2]
+            bl, br, lam_q = tensors[q], tensors[q + 1], lambdas[q]
+            lflag, rflag = bl.shape == (1, 2, 1), br.shape == (1, 2, 1)
+            chi_l = lam_q.size if lflag else bl.shape[0]
+            chi_r = lam_q.size if rflag else br.shape[2]
             swap = q != top or u4 is None
-            lflag, rflag, lam_q = product[q], product[q + 1], lambdas[q]
             if swap and (lflag or rflag) and (state.canonical or chi_l == chi_r == 1):
-                # a flagged site p (x) I passes its neighbour: the exchange is the step's closed form.
+                # an unentangled site p passes its neighbour: the exchange is the step's closed form.
                 # Past an entangled site it moves a Schmidt vector, exact only on a canonical chain;
-                # otherwise it exchanges only two (1, 2, 1) sites
-                p, chi, lam = (bl, chi_r, q + 1) if lflag else (br, chi_l, q - 1)
-                p = _product_site(p, chi)  # p (x) I_chi carries the neighbour's outer bond across
+                # otherwise it exchanges only sites whose bonds all have dimension 1
+                chi, lam = (chi_r, q + 1) if lflag else (chi_l, q - 1)  # p (x) I_chi spans the outer bond
                 if chi > 1:
                     lambdas[q] = lambdas[lam]
-                elif bl.shape[2] > 1:  # the bond shrinks to dimension 1, whose vector is exactly [1.0]
+                elif lam_q.size > 1:  # the bond shrinks to dimension 1, whose vector is exactly [1.0]
                     lambdas[q] = np.ones(1)
-                tensors[q], tensors[q + 1] = (br, p) if lflag else (p, bl)
-                product[q], product[q + 1] = product[q + 1], product[q]
+                tensors[q], tensors[q + 1] = br, bl
                 if chi > max_keep:
                     max_keep = chi
                 done += 1
                 if done > hi - lo and state.canonical:  # a back-step: log what it left and read
-                    state._undo[q] = _seen(tensors, lambdas, q), (bl, br, lam_q, lflag, rflag)
+                    state._undo[q] = _seen(tensors, lambdas, q), (bl, br, lam_q)
                 continue
-            if not swap and lflag and product[q + 1] and (state.canonical or chi_l == 1):
-                # two flagged sites: psi = u4 (p (x) p') ~ a (x) b, b psi's larger row. The residual
+            if not swap and lflag and rflag and (state.canonical or chi_l == 1):
+                # two unentangled sites: psi = u4 (p (x) p') ~ a (x) b, b psi's larger row. The residual
                 # |det psi|^2 / |b|^2 is at least sigma_2^2, and |b| at most sigma_1: within the
                 # threshold, the SVD step would keep the chi values lambda * sigma_1 and no other
-                (p0, p1), (r0, r1) = bl[0, :, 0].tolist(), br[0, :, 0].tolist()
+                (p0, p1), (r0, r1) = bl.ravel().tolist(), br.ravel().tolist()
                 x00, x01, x10, x11 = u4.dot((p0 * r0, p0 * r1, p1 * r0, p1 * r1)).tolist()
                 n0, n1 = abs(x00) ** 2 + abs(x01) ** 2, abs(x10) ** 2 + abs(x11) ** 2
                 if flip := n1 > n0:
@@ -306,12 +306,12 @@ def _apply_2q_routed(
                 if n0 * lam * lam > thr2 and res <= thr2 * n0:
                     g = (x10 * x00.conjugate() + x11 * x01.conjugate()) / n0
                     a, b = np.array(((g, 1) if flip else (1, g), (x00, x01))).reshape(2, 1, 2, 1)
-                    tensors[q], tensors[q + 1] = _product_site(a, chi_l), _product_site(b, chi_l)
+                    tensors[q], tensors[q + 1] = a / math.sqrt(1 + abs(g) ** 2), b / math.sqrt(n0)
                     max_keep, max_discarded = max(max_keep, chi_l), max(max_discarded, res / n0)
                     done += 1
                     continue
-            c = bl.reshape(2 * chi_l, -1).dot(br.reshape(-1, 2 * chi_r))  # ((chi_l, i), (j, chi_r))
-            if swap:
+            c = _spanned(bl, chi_l).reshape(2 * chi_l, -1).dot(_spanned(br, chi_r).reshape(-1, 2 * chi_r))
+            if swap:  # c is ((chi_l, i), (j, chi_r))
                 c = c.reshape(chi_l, 2, 2, chi_r).transpose(0, 2, 1, 3).reshape(2 * chi_l, 2 * chi_r)
             else:
                 c = np.matmul(u4, c.reshape(chi_l, 4, chi_r)).reshape(2 * chi_l, 2 * chi_r)
@@ -347,29 +347,28 @@ def _apply_2q_routed(
             left = c.dot(vh.T.conj())
             left /= nrm
             tensors[q] = left.reshape(chi_l, 2, keep)
-            product[q], product[q + 1] = chi_l == keep == 1, keep == chi_r == 1
             if keep > max_keep:
                 max_keep = keep
             done += 1
             if done > hi - lo and state.canonical:  # a back-step, logged as above
-                state._undo[q] = _seen(tensors, lambdas, q), (bl, br, lam_q, lflag, rflag)
+                state._undo[q] = _seen(tensors, lambdas, q), (bl, br, lam_q)
             if swap or not state.canonical:
                 continue
             # an unentangled qubit's site holds p (x) W, W unitary, and the kept spectrum is then its
             # outer bond's vector up to the residual (Mirsky) and rounding. Within the threshold of
-            # p (x) W, the site becomes p (x) I, and W' moves left or W right (past flagged sites)
+            # p (x) W, the site stores p, and W' moves left or W right (past (1, 2, 1) sites)
             for t, outer, chi in ((q, q - 1, chi_l), (q + 1, q + 1, chi_r)):
                 if chi == keep > 1 and math.dist(lambdas[q].tolist(), lambdas[outer].tolist()) <= tol:
                     p, w, res = _rank1(tensors[t].transpose(1, 0, 2).reshape(2, -1))
                     if res > thr2:
                         continue
                     w = w.reshape(chi, chi)
-                    if t == q or product[q]:
-                        u = product.index(False, t + 1)
+                    if t == q or tensors[q].shape == (1, 2, 1):
+                        u = next(u for u in range(t + 1, len(tensors)) if tensors[u].shape != (1, 2, 1))
                         tensors[u] = w.dot(tensors[u].reshape(chi, -1)).reshape(tensors[u].shape)
                     else:
                         tensors[q] = tensors[q].reshape(-1, chi).dot(w).reshape(chi_l, 2, chi)
-                    tensors[t], product[t], lambdas[q] = _product_site(p, chi), True, lambdas[outer]
+                    tensors[t], lambdas[q] = p, lambdas[outer]
                     max_discarded = max(max_discarded, res)
     finally:
         # once per gate: the steps that finished, even if a later one raised
@@ -457,15 +456,15 @@ def amplitude(state: MpsState, bits) -> complex:
     if any(bit not in (0, 1, "0", "1") for bit in bits):
         raise ValueError(f"bits must be 0 or 1, got {bits!r}")
     v = np.ones(1, dtype=complex)
-    for l, bit in enumerate(bits):
-        v = v @ state.tensors[l][:, int(bit), :]
+    for b, bit in zip(_sites(state), bits):
+        v = v @ b[:, int(bit), :]
     return complex(v[0])
 
 
 def state_norm(state: MpsState) -> float:
     """Exact 2-norm of the represented state (gauge independent)."""
     env = np.ones((1, 1), dtype=complex)
-    for b in state.tensors:
+    for b in _sites(state):
         tmp = np.tensordot(env, b, axes=(1, 0))  # (chi_l', i, chi_r)
         env = np.tensordot(b.conj(), tmp, axes=([0, 1], [0, 1]))
     return float(np.sqrt(abs(env[0, 0])))
@@ -482,12 +481,12 @@ def to_statevector(state: MpsState) -> np.ndarray:
     """
     if state.n > 24:
         raise ValueError(f"statevector export capped at 24 qubits, got {state.n}")
-    m = state.n // 2
+    m, sites = state.n // 2, list(_sites(state))
     left = np.ones((1, 1), dtype=complex)
-    for b in state.tensors[:m]:
+    for b in sites[:m]:
         left = np.tensordot(left, b, axes=(1, 0)).reshape(-1, b.shape[2])
     right = np.ones((1, 1), dtype=complex)
-    for b in reversed(state.tensors[m:]):
+    for b in reversed(sites[m:]):
         right = np.tensordot(b, right, axes=(2, 0)).reshape(b.shape[0], -1)
     return (left @ right).ravel()
 
@@ -505,12 +504,13 @@ def _cut_spectrum(state: MpsState, cut: int) -> np.ndarray:
         raise ValueError(f"cut must be in [1, {state.n - 1}], got {cut}")
     if state.canonical:
         return state.lambdas[cut - 1]
+    sites = list(_sites(state))
     left = np.ones((1, 1), dtype=complex)
-    for b in state.tensors[:cut]:
+    for b in sites[:cut]:
         m = np.tensordot(left, b, axes=(1, 0)).reshape(-1, b.shape[2])
         left = np.linalg.qr(m, mode="r")
     right = np.ones((1, 1), dtype=complex)
-    for b in reversed(state.tensors[cut:]):
+    for b in reversed(sites[cut:]):
         m = np.tensordot(b, right, axes=(2, 0)).reshape(b.shape[0], -1)
         right = np.linalg.qr(m.T, mode="r").T
     s = np.linalg.svd(left @ right, compute_uv=False)
@@ -546,8 +546,7 @@ def sample(state: MpsState, qubits, shots: int, seed: int) -> dict[str, int]:
     randoms = rng.random((shots, state.n))
     v = np.ones((shots, 1), dtype=complex)
     digits = np.empty((shots, state.n), dtype=np.uint8)
-    for l in range(state.n):
-        b = state.tensors[l]
+    for l, b in enumerate(_sites(state)):
         v0 = v @ b[:, 0, :]
         p0 = (np.abs(v0) ** 2).sum(axis=1)
         v1 = v @ b[:, 1, :]

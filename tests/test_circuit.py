@@ -345,6 +345,11 @@ class TestSerialization:
             cir.circuit_from_text("width 18\nlayout 4 upper-lower-sideways\n")
         with pytest.raises(ValueError, match="layout width"):
             cir.circuit_from_text("width 18\nlayout 3 upper-lower-ancilla\n")
+        # truncated records and records with extra fields
+        for record in ["width", "layout 4", "checkpoint prep", "PHASE 0", "CPHASE 0 1", "H 0 1", "width 2 3", "U1 0 1 0 0"]:
+            text = record + "\n" if record.startswith("width") else f"width 2\n{record}\n"
+            with pytest.raises(ValueError, match="cannot parse line"):
+                cir.circuit_from_text(text)
 
     def test_decreasing_checkpoints_rejected(self):
         # segments() would yield the gates between the two indices twice

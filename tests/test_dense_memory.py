@@ -110,7 +110,7 @@ def reference_dense_sample(state, qubits, shots, seed):
 
 def reference_to_statevector(state):
     acc = np.ones((1, 1), dtype=complex)
-    for b in state.tensors:
+    for b in mps._sites(state):
         acc = np.tensordot(acc, b, axes=(1, 0))
         acc = acc.reshape(acc.shape[0] * 2, acc.shape[2])
     return acc.ravel()

@@ -15,7 +15,7 @@ from mpshor import dense, mps
 from util import (
     assert_canonical,
     assert_flags_exact,
-    assert_product_flags,
+    assert_site_shapes,
     haar_unitary,
     random_circuit,
     spy_gesdd,
@@ -41,7 +41,7 @@ def reference_apply_1q(state, u, q):
 
 def reference_apply_2q_adjacent(state, u4, q, stats):
     """Gate on the adjacent pair (q, q+1); u4 rows indexed by (bit_q, bit_q+1)."""
-    bl, br = state.tensors[q], state.tensors[q + 1]
+    bl, br = list(mps._sites(state))[q : q + 2]
     chi_l, chi_r = bl.shape[0], br.shape[2]
     c = np.tensordot(bl, br, axes=(2, 0))  # (chi_l, i, j, chi_r)
     cm = u4 @ c.transpose(1, 2, 0, 3).reshape(4, chi_l * chi_r)
@@ -69,9 +69,6 @@ def reference_apply_2q_adjacent(state, u4, q, stats):
     state.tensors[q] = (
         c.reshape(2 * chi_l, 2 * chi_r) @ vk.conj().T
     ).reshape(chi_l, 2, keep) / nrm
-    # the engine exchanges past a flagged site, so a stale flag would corrupt a later step
-    state.product[q] = state.tensors[q].shape == (1, 2, 1)
-    state.product[q + 1] = state.tensors[q + 1].shape == (1, 2, 1)
     if stats is not None:
         stats.svd_count += 1
         if keep > stats.max_chi:
@@ -98,12 +95,12 @@ def reference_sample(state, qubits, shots, seed):
     qubits = list(qubits)
     rng = np.random.default_rng(seed)
     randoms = rng.random((shots, state.n))
+    sites = list(mps._sites(state))
     counts = {}
     for shot in range(shots):
         v = np.ones(1, dtype=complex)
         bits = []
-        for l in range(state.n):
-            b = state.tensors[l]
+        for l, b in enumerate(sites):
             v0 = v @ b[:, 0, :]
             p0 = float((np.abs(v0) ** 2).sum())
             v1 = v @ b[:, 1, :]
@@ -141,7 +138,7 @@ def random_chain(bonds, rng, policy):
 
 def assert_states_close(a, b, tol=TOL):
     assert len(a.tensors) == len(b.tensors)
-    for ta, tb in zip(a.tensors, b.tensors):
+    for ta, tb in zip(mps._sites(a), mps._sites(b)):
         assert ta.shape == tb.shape
         assert np.abs(ta - tb).max() <= tol
     for la, lb in zip(a.lambdas, b.lambdas):
@@ -272,11 +269,13 @@ PRODUCT_WALKS = {
 @pytest.mark.parametrize("policy", ["default", "exact"])
 def test_product_site_exchange_matches_svd_step(monkeypatch, walk, policy):
     # a product chain with one site of norm 0.7: the exchange keeps each site's phase
-    # where the SVD picks another, so compare statevectors, not tensors
+    # where the SVD picks another, so compare statevectors, not tensors. No walk takes that
+    # site through the kernel, and a swap is unitary, so the exchange keeps its norm where
+    # the reference's SVD steps divide it out
     rng = np.random.default_rng(list(PRODUCT_WALKS).index(walk))
     state = random_chain((1,) * 6, rng, POLICIES[policy])
     state.tensors[2] *= 0.7
-    state.canonical = True  # every bond holds exactly [1.0]; the steps divide out the site norms
+    state.canonical = True  # every bond holds exactly [1.0]
     ref = state.copy()
     make_gate, kernel_calls = PRODUCT_WALKS[walk]
     g = make_gate(rng)
@@ -288,7 +287,7 @@ def test_product_site_exchange_matches_svd_step(monkeypatch, walk, policy):
         ref_stats.swap_count += 1
     reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
     assert_stats_equal(got_stats, ref_stats)
-    assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
+    assert np.abs(mps.to_statevector(state) - 0.7 * mps.to_statevector(ref)).max() <= TOL
     for lam, ref_lam in zip(state.lambdas, ref.lambdas):
         assert lam.shape == ref_lam.shape
         assert np.abs(lam - ref_lam).max() <= TOL
@@ -340,14 +339,14 @@ def test_exchange_past_entangled_site_matches_svd_step(monkeypatch, chain, gate,
         assert lam.shape == ref_lam.shape
         assert np.abs(lam - ref_lam).max() <= TOL
     assert_canonical(state, TOL)
-    # the same walk one step at a time: a swap step past a flagged site (read before the
+    # the same walk one step at a time: a swap step past a (1, 2, 1) site (read before the
     # step) calls no kernel and leaves the chain canonical; every other step calls it once
     gesdd_calls = spy_gesdd(monkeypatch)
     exchanges = 0
     top = q2 - 1
     for q in (*range(q1, top), *range(top, q1 - 1, -1)):
         swap_step = q != top or gate == "swap"
-        flagged = by_step.product[q] or by_step.product[q + 1]
+        flagged = (1, 2, 1) in (by_step.tensors[q].shape, by_step.tensors[q + 1].shape)
         calls = len(gesdd_calls)
         mps.apply_gate(by_step, cir.swap(q, q + 1) if swap_step else cir.cphase(angle, q, q + 1))
         if swap_step and flagged:
@@ -364,15 +363,15 @@ def test_exchange_past_entangled_site_matches_svd_step(monkeypatch, chain, gate,
 def test_swap_of_carried_product_sites_calls_no_kernel(monkeypatch, policy):
     # SWAP (1, 4) carries site 1 of the pair (0, 1) out to site 4 and leaves each unentangled
     # qubit it passes inside the pair's bond as p (x) I_2. Its two return steps swap two such
-    # qubits: flagged, they are exchanged, so no step of the walk calls the kernel
+    # (1, 2, 1) sites: they are exchanged, so no step of the walk calls the kernel
     rng = np.random.default_rng(list(CANONICAL_WALKS).index("right_of_pair"))
     state = canonical_chain((0,), POLICIES[policy], rng)
     ref = state.copy()
     gesdd_calls = spy_gesdd(monkeypatch)
     for q in (1, 2, 3):
         mps.apply_gate(state, cir.swap(q, q + 1))
-    assert [t.shape for t in state.tensors[1:4]] == [(2, 2, 2)] * 3
-    assert state.product[1:4] == [True] * 3
+    assert [t.shape for t in state.tensors[1:4]] == [(1, 2, 1)] * 3
+    assert [lam.size for lam in state.lambdas[:4]] == [2] * 4
     for q in (2, 1):
         mps.apply_gate(state, cir.swap(q, q + 1))
     assert gesdd_calls == []
@@ -386,23 +385,30 @@ def test_swap_of_carried_product_sites_calls_no_kernel(monkeypatch, policy):
     assert_canonical(state, TOL)
 
 
-def spanned_chain(policy, rng, basis, far=4):
-    """Six sites in Haar product states, qubits in `basis` in |1> instead; then a Haar gate on (1, far).
+def spanned_gates(rng, basis, far=4):
+    """Six sites in Haar product states, qubits in `basis` in |1> instead; then a Haar gate on (1, far)."""
+    gates = [cir.x(q) if q in basis else cir.unitary1(haar_unitary(2, rng), q) for q in range(6)]
+    return [*gates, cir.unitary2(haar_unitary(4, rng), 1, far)]
 
-    The gate's walk leaves the unentangled qubits 2..far-1 flagged as
-    p (x) I_2 inside the bonds of the entangled pair (1, far).
+
+def spanned_chain(policy, rng, basis, far=4):
+    """The chain `spanned_gates` prepares.
+
+    The gate's walk leaves the unentangled qubits 2..far-1 stored as
+    (1, 2, 1) sites p, standing for p (x) I_2 inside the bonds of the
+    entangled pair (1, far).
     """
     state = mps.init_state(6, policy)
-    for q in range(6):
-        mps.apply_gate(state, cir.x(q) if q in basis else cir.unitary1(haar_unitary(2, rng), q))
-    mps.apply_gate(state, cir.unitary2(haar_unitary(4, rng), 1, far))
-    assert all(t.shape == (2, 2, 2) for t in state.tensors[2:far]) and all(state.product[2:far])
+    for g in spanned_gates(rng, basis, far):
+        mps.apply_gate(state, g)
+    assert all(t.shape == (1, 2, 1) for t in state.tensors[2:far])
+    assert all(lam.size == 2 for lam in state.lambdas[1:far])
     return state
 
 
 GATE_STEP_PATHS = {
     # |1> qubits, far end of the entangled pair, gates, kernel calls of the last gate, sites
-    # 2 and 3 flagged after it. Path 1: two flagged sites. A product gate leaves them
+    # 2 and 3 stored as (1, 2, 1) after it. Path 1: two (1, 2, 1) sites. A product gate leaves them
     # unentangled, a Haar gate does not
     "two_flagged_product": (
         (), 4, lambda rng: [cir.unitary2(np.kron(haar_unitary(2, rng), haar_unitary(2, rng)), 2, 3)], 0, [2, 3]
@@ -412,7 +418,7 @@ GATE_STEP_PATHS = {
     "left_unentangled": ((3,), 4, lambda rng: [cir.cphase(float(rng.uniform(0, 2 * np.pi)), 3, 4)], 1, [2, 3]),
     "right_unentangled": ((2,), 4, lambda rng: [cir.cphase(float(rng.uniform(0, 2 * np.pi)), 1, 2)], 1, [2, 3]),
     # an ancilla computed into qubit 3 by a CX and uncomputed by a second: both sites unentangled
-    # again, and the unitary between them moves into site 4, or past the flagged site 4 into site 5
+    # again, and the unitary between them moves into site 4, or past the (1, 2, 1) site 4 into site 5
     "both_unentangled": ((), 4, lambda rng: [cir.cx(2, 3), cir.cx(2, 3)], 1, [2, 3]),
     "both_unentangled_past_flagged": ((), 5, lambda rng: [cir.cx(2, 3), cir.cx(2, 3)], 1, [2, 3]),
 }
@@ -421,9 +427,9 @@ GATE_STEP_PATHS = {
 @pytest.mark.parametrize("policy", ["default", "exact"])
 @pytest.mark.parametrize("case", list(GATE_STEP_PATHS))
 def test_gate_step_paths_match_svd_steps(monkeypatch, case, policy):
-    # the closed-form split of two flagged sites (path 1) and the flag of a site an SVD step
-    # leaves unentangled (path 2) hold the SVD steps' state, spectra and counts, and keep the
-    # chain canonical with every flag exact
+    # the closed-form split of two (1, 2, 1) sites (path 1) and the store of a site an SVD step
+    # leaves unentangled as its 2-vector (path 2) hold the SVD steps' state, spectra and counts,
+    # and keep the chain canonical with every (1, 2, 1) shape exact
     rng = np.random.default_rng(list(GATE_STEP_PATHS).index(case))
     basis, far, make_gates, kernel_calls, flagged = GATE_STEP_PATHS[case]
     state = spanned_chain(POLICIES[policy], rng, basis, far)
@@ -446,16 +452,48 @@ def test_gate_step_paths_match_svd_steps(monkeypatch, case, policy):
             assert lam.shape == ref_lam.shape
             assert np.abs(lam - ref_lam).max() <= TOL
         assert_canonical(state, TOL)
-        assert_product_flags(state)
+        assert_site_shapes(state)
         assert_flags_exact(state)
     assert got_stats.kernel_count == kernel_calls
-    assert [q for q in (2, 3) if state.product[q]] == flagged
+    assert [q for q in (2, 3) if state.tensors[q].shape == (1, 2, 1)] == flagged
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_readers_write_out_unentangled_sites(monkeypatch, tmp_path, canonical):
+    # sites 2 and 3 are stored as (1, 2, 1) inside a bond of 2, and every reader must see them as
+    # p (x) I_2; off a canonical chain the spectra are computed from the written-out sites
+    state = spanned_chain(POLICIES["default"], np.random.default_rng(8), ())
+    if not canonical:
+        state = state.copy()
+        state.canonical = False
+    want = dense.dense_run(cir.Circuit(6, tuple(spanned_gates(np.random.default_rng(8), ()))))
+    for k in range(64):
+        assert abs(mps.amplitude(state, format(k, "06b")) - want.amplitudes[k]) <= TOL
+    assert mps.state_norm(state) == pytest.approx(1.0, abs=TOL)
+    qubits = [0, 2, 3, 5]
+    assert list(mps.sample(state, qubits, 300, 3).items()) == list(reference_sample(state, qubits, 300, 3).items())
+    mps.dump_lambda_spectra(state, tmp_path / "spectra.txt")
+    spectra = {}
+    for line in (tmp_path / "spectra.txt").read_text().splitlines()[1:]:
+        bond, _, val = line.split()
+        spectra.setdefault(int(bond), []).append(float(val))
+    for cut in range(1, 6):
+        assert abs(mps.bond_entropy(state, cut) - dense.dense_entropy(want, range(cut))) <= 1e-9
+        s = np.linalg.svd(want.amplitudes.reshape(1 << cut, -1), compute_uv=False)
+        assert np.abs(np.array(spectra[cut]) - s[: len(spectra[cut])]).max() <= 1e-12
+        assert np.abs(s[len(spectra[cut]) :]).max(initial=0.0) <= 1e-12
+    if canonical:
+        # a swap step past a (1, 2, 1) site exchanges the two stored arrays
+        gesdd_calls = spy_gesdd(monkeypatch)
+        bl, br = state.tensors[1], state.tensors[2]
+        mps.apply_gate(state, cir.swap(1, 2))
+        assert state.tensors[1] is br and state.tensors[2] is bl and gesdd_calls == []
 
 
 @pytest.mark.parametrize("case", ["two_flagged_product", "left_unentangled"])
 def test_gate_step_paths_skipped_off_canonical_chains(monkeypatch, case):
     # without a canonical chain the stored vectors are not the spectra either path relies on:
-    # the gate step is an SVD step, which flags only (1, 2, 1) sites
+    # the gate step is an SVD step, which stores a (1, 2, 1) site only between bonds of dimension 1
     rng = np.random.default_rng(list(GATE_STEP_PATHS).index(case))
     basis, far, make_gates, _, _ = GATE_STEP_PATHS[case]
     state = spanned_chain(POLICIES["default"], rng, basis, far)
@@ -469,8 +507,8 @@ def test_gate_step_paths_skipped_off_canonical_chains(monkeypatch, case):
     reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
     assert_stats_equal(got_stats, ref_stats)
     assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
-    assert [state.product[q] for q in g.targets] == [False, False]
-    assert_product_flags(state)
+    assert [state.tensors[q].shape == (1, 2, 1) for q in g.targets] == [False, False]
+    assert_site_shapes(state)
 
 
 def capped_gates(seed):
@@ -516,34 +554,33 @@ def test_capped_chain_walks_match_svd_steps(seed):
 
 @pytest.mark.parametrize("run", ["shor-15-4", "shor-33-10", "capped-15", "capped-97", "capped-154"])
 def test_product_flags_after_every_gate(run):
-    # the exchange trusts the flags, so after every gate each must still mark exactly p (x) I;
-    # while the chain is canonical, every unentangled qubit must be flagged too
+    # the exchange trusts the shapes, so after every gate each (1, 2, 1) site must sit between
+    # equal bonds; while the chain is canonical, exactly the unentangled qubits are (1, 2, 1)
     kind, *args = run.split("-")
     if kind == "shor":
         circ = cir.shor_order_circuit(*map(int, args))
         state, gates = mps.init_state(circ.width), circ.gates
     else:
         state, gates = mps.init_state(7, mps.TruncationPolicy(chi_max=2)), capped_gates(int(args[0]))
-    assert_product_flags(state)
+    assert_site_shapes(state)
     flagged_inside_bonds = canonical_gates = 0
     for g in gates:
         mps.apply_gate(state, g)
-        assert_product_flags(state)
+        assert_site_shapes(state)
         if state.canonical:
             assert_flags_exact(state)
             canonical_gates += 1
-        flagged_inside_bonds += sum(f and t.shape[0] > 1 for f, t in zip(state.product, state.tensors))
+        flagged_inside_bonds += sum(t.shape[0] < b.shape[0] for t, b in zip(state.tensors, mps._sites(state)))
     assert flagged_inside_bonds > 0 and canonical_gates > 0
 
 
-def test_copy_carries_product_flags(monkeypatch):
+def test_copy_exchanges_as_original(monkeypatch):
     # a copy taken mid-run exchanges at the same steps as the original: same kernel calls, same tensors
     circ = cir.shor_order_circuit(15, 4)
     head, tail = cir.Circuit(circ.width, circ.gates[:500]), cir.Circuit(circ.width, circ.gates[500:])
     state = mps.init_state(circ.width)
     mps.run_circuit(state, head)
     copied = state.copy()
-    assert copied.product == state.product and copied.product is not state.product
     gesdd_calls = spy_gesdd(monkeypatch)
     mps.run_circuit(state, tail)
     calls = len(gesdd_calls)
@@ -570,7 +607,7 @@ RESTORING_PAIRS = {
 def entangled_chain(policy, rng):
     """`canonical_chain` with a Haar gate on every pair: no qubit is unentangled, no step exchanges."""
     state = canonical_chain(range(5), policy, rng)
-    assert not any(state.product)
+    assert (1, 2, 1) not in [t.shape for t in state.tensors]
     return state
 
 
@@ -599,7 +636,7 @@ def test_up_steps_restore_last_back_steps(monkeypatch, case, policy):
         assert lam.shape == ref_lam.shape
         assert np.abs(lam - ref_lam).max() <= TOL
     assert_canonical(state, TOL)
-    assert_product_flags(state)
+    assert_site_shapes(state)
     assert_flags_exact(state)
 
 

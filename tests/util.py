@@ -69,12 +69,12 @@ def traced_peak(fn):
 def assert_canonical(state, tol):
     """Assert the canonical chain gauge: right-isometric tensors and Schmidt-diagonal left Grams.
 
-    Every tensor (chi_l, 2, chi_r) must satisfy T T^dagger = I over its
-    (physical, right) indices, and the Gram matrix of the left block's
-    states at each bond l must equal diag(lambdas[l] ** 2).
+    Every written-out site (chi_l, 2, chi_r) must satisfy T T^dagger = I
+    over its (physical, right) indices, and the Gram matrix of the left
+    block's states at each bond l must equal diag(lambdas[l] ** 2).
     """
     gram = np.ones((1, 1), dtype=complex)
-    for l, t in enumerate(state.tensors):
+    for l, t in enumerate(mps._sites(state)):
         m = t.reshape(t.shape[0], -1)
         assert np.abs(m @ m.conj().T - np.eye(t.shape[0])).max() <= tol, f"site {l} is not right-isometric"
         gram = np.einsum("ab,aic,bid->cd", gram, t.conj(), t)
@@ -82,16 +82,15 @@ def assert_canonical(state, tol):
         assert gram.shape == want.shape and np.abs(gram - want).max() <= tol, f"bond {l} Gram is not diag(lambda^2)"
 
 
-def assert_product_flags(state):
-    """Assert `MpsState.product`: every flagged site is exactly p (x) I_chi, and every (1, 2, 1) site is flagged."""
-    assert len(state.product) == state.n
-    for l, (t, flagged) in enumerate(zip(state.tensors, state.product)):
-        if flagged:
-            chi = t.shape[0]
-            assert t.shape == (chi, 2, chi), f"flagged site {l} has shape {t.shape}"
-            assert np.array_equal(t, t[:1, :, :1] * np.eye(chi)[:, None, :]), f"flagged site {l} is not p (x) I"
+def assert_site_shapes(state):
+    """Assert the stored shapes: a (1, 2, 1) site sits between bonds of equal dimension, every other spans its bonds."""
+    bonds = [1, *(lam.size for lam in state.lambdas), 1]
+    assert len(bonds) == state.n + 1
+    for l, t in enumerate(state.tensors):
+        if t.shape == (1, 2, 1):
+            assert bonds[l] == bonds[l + 1], f"(1, 2, 1) site {l} sits between bonds {bonds[l]} and {bonds[l + 1]}"
         else:
-            assert t.shape != (1, 2, 1), f"site {l} has shape (1, 2, 1) but is not flagged"
+            assert t.shape == (bonds[l], 2, bonds[l + 1]), f"site {l} has shape {t.shape} between bonds {bonds[l:l + 2]}"
 
 
 def spy_gesdd(monkeypatch):
@@ -108,19 +107,20 @@ def spy_gesdd(monkeypatch):
 
 
 def assert_flags_exact(state):
-    """Assert on a canonical chain that a site is flagged exactly when its qubit is unentangled.
+    """Assert on a canonical chain that a site is stored as (1, 2, 1) exactly when its qubit is unentangled.
 
     The gauge makes the left states at bond l-1 orthogonal with norms
     lambdas[l-1] and the right states at bond l orthonormal, so qubit l's
     coefficients form the 2 x (chi_l * chi_r) matrix lambdas[l-1][a] *
     T_l[a, i, b] over i and (a, b). Its second singular value, the rank-1
-    residual, must be at most discard_threshold on a flagged site and above
-    it on every other.
+    residual, must be at most discard_threshold on a (1, 2, 1) site and
+    above it on every other.
     """
-    assert state.canonical, "flags are exact only on a canonical chain"
-    for l, (t, flagged) in enumerate(zip(state.tensors, state.product)):
+    assert state.canonical, "the shapes are exact only on a canonical chain"
+    for l, (stored, t) in enumerate(zip(state.tensors, mps._sites(state))):
+        flagged = stored.shape == (1, 2, 1)
         lam = state.lambdas[l - 1] if l else np.ones(1)
         m = (lam[:, None, None] * t).transpose(1, 0, 2).reshape(2, -1)
         residual = np.append(np.linalg.svd(m, compute_uv=False), 0.0)[1]  # 0 for a 2 x 1 matrix
         unentangled = residual <= state.policy.discard_threshold
-        assert flagged == unentangled, f"site {l}: flagged {flagged}, rank-1 residual {residual:.3g}"
+        assert flagged == unentangled, f"site {l}: (1, 2, 1) {flagged}, rank-1 residual {residual:.3g}"
