@@ -137,6 +137,8 @@ def random_chain(bonds, rng, policy):
 
 
 def assert_states_close(a, b, tol=TOL):
+    for state in (a, b):
+        mps._home(state)  # a pending walk back leaves the hub's qubit away from its site
     assert len(a.tensors) == len(b.tensors)
     for ta, tb in zip(mps._sites(a), mps._sites(b)):
         assert ta.shape == tb.shape
@@ -330,6 +332,7 @@ def test_exchange_past_entangled_site_matches_svd_step(monkeypatch, chain, gate,
     ref, by_step = state.copy(), state.copy()
     got_stats, ref_stats = mps.GateStats(), mps.GateStats()
     mps.apply_gate(state, g, got_stats)
+    mps._home(state)  # the walk back, charged to the gate's stats
     if g.kind == "SWAP":
         ref_stats.swap_count += 1
     reference_apply_2q_routed(ref, g.full_matrix(), q1, q2, ref_stats)
@@ -401,6 +404,7 @@ def spanned_chain(policy, rng, basis, far=4):
     state = mps.init_state(6, policy)
     for g in spanned_gates(rng, basis, far):
         mps.apply_gate(state, g)
+    mps._home(state)
     assert all(t.shape == (1, 2, 1) for t in state.tensors[2:far])
     assert all(lam.size == 2 for lam in state.lambdas[1:far])
     return state
@@ -541,6 +545,8 @@ def test_capped_chain_walks_match_svd_steps(seed):
         ref = state.copy()
         got_stats, ref_stats = mps.GateStats(), mps.GateStats()
         mps.apply_gate(state, g, got_stats)
+        assert state.canonical or state._away is None  # off a canonical chain the walk back runs at once
+        mps._home(state)  # charged to the gate's stats
         if g.kind == "SWAP":
             ref_stats.swap_count += 1
         reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
@@ -594,8 +600,8 @@ def haar_gate(rng, q1, q2):
 
 
 RESTORING_PAIRS = {
-    # first gate, second gate from the same low qubit 0, up-steps of the second that undo the
-    # first's back-steps: those on the bonds both walks cross, short of the second's gate step
+    # first gate, second gate from the same low qubit 0, pairs whose back-step (of the first) and
+    # up-step (of the second) never run: those both walks cross, short of the second's gate step
     "haar": (lambda rng: haar_gate(rng, 0, 3), lambda rng: haar_gate(rng, 0, 5), 2),
     "cphase": (lambda rng: cir.cphase(1.1, 0, 4), lambda rng: cir.cphase(0.3, 0, 5), 3),
     "reversed": (lambda rng: haar_gate(rng, 4, 0), lambda rng: haar_gate(rng, 3, 0), 2),
@@ -611,30 +617,38 @@ def entangled_chain(policy, rng):
     return state
 
 
-@pytest.mark.parametrize("policy", ["default", "exact"])
-@pytest.mark.parametrize("case", list(RESTORING_PAIRS))
-def test_up_steps_restore_last_back_steps(monkeypatch, case, policy):
-    # the second gate's up-steps swap back pairs the first gate's walk back left untouched: each
-    # puts back what that back-step read, with no kernel call, and the result is the SVD steps'
-    rng = np.random.default_rng(list(RESTORING_PAIRS).index(case))
-    first, second, restored = RESTORING_PAIRS[case]
-    state = entangled_chain(POLICIES[policy], rng)
-    ref = state.copy()
-    gesdd_calls = spy_gesdd(monkeypatch)
-    for g, skipped in ((first(rng), 0), (second(rng), restored)):
-        calls = len(gesdd_calls)
-        got_stats, ref_stats = mps.GateStats(), mps.GateStats()
-        mps.apply_gate(state, g, got_stats)
-        assert len(gesdd_calls) - calls == got_stats.kernel_count == got_stats.svd_count - skipped
-        if g.kind == "SWAP":
-            ref_stats.swap_count += 1
-        reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
-        ints = [(st.svd_count, st.swap_count, st.max_chi) for st in (got_stats, ref_stats)]
-        assert ints[0] == ints[1]
+def assert_matches_steps(state, ref, got_stats, ref_stats, gesdd_calls, skipped):
+    """After walking home: `skipped` pairs ran neither their back-step nor the up-step undoing it,
+    every other step called the kernel once, and state, spectra and counts are the SVD steps'."""
+    mps._home(state)
+    assert len(gesdd_calls) == got_stats.kernel_count == got_stats.svd_count - 2 * skipped
+    ints = [(st.svd_count, st.swap_count, st.max_chi) for st in (got_stats, ref_stats)]
+    assert ints[0] == ints[1]
     assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
     for lam, ref_lam in zip(state.lambdas, ref.lambdas):
         assert lam.shape == ref_lam.shape
         assert np.abs(lam - ref_lam).max() <= TOL
+
+
+@pytest.mark.parametrize("policy", ["default", "exact"])
+@pytest.mark.parametrize("case", list(RESTORING_PAIRS))
+def test_up_steps_restore_last_back_steps(monkeypatch, case, policy):
+    # the first gate leaves its walk back pending. The second runs only the back-steps above its
+    # own gate step, or walks up from where the hub sits: the pairs in between are left as they
+    # were before the first's walk back, with no step, and the result is the SVD steps'
+    rng = np.random.default_rng(list(RESTORING_PAIRS).index(case))
+    first, second, skipped = RESTORING_PAIRS[case]
+    state = entangled_chain(POLICIES[policy], rng)
+    ref, gates = state.copy(), (first(rng), second(rng))
+    ref_stats = mps.GateStats(swap_count=sum(g.kind == "SWAP" for g in gates))
+    for g in gates:
+        reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
+    gesdd_calls = spy_gesdd(monkeypatch)
+    got_stats = mps.GateStats()
+    for g in gates:
+        mps.apply_gate(state, g, got_stats)
+        assert state._away == (0, max(g.targets) - 1, got_stats)
+    assert_matches_steps(state, ref, got_stats, ref_stats, gesdd_calls, skipped)
     assert_canonical(state, TOL)
     assert_site_shapes(state)
     assert_flags_exact(state)
@@ -643,19 +657,18 @@ def test_up_steps_restore_last_back_steps(monkeypatch, case, policy):
 @pytest.mark.parametrize(
     "between, restored",
     [
-        ("one_qubit_gate_at_0", 0),
-        ("one_qubit_gate_at_1", 0),
-        ("one_qubit_gate_at_2", 1),  # the restores stop at the first pair that was touched
-        ("one_qubit_gate_at_5", 2),  # outside both walks
+        ("one_qubit_gate_at_0", 0),  # the hub's own qubit: walked home
+        ("one_qubit_gate_at_1", 0),  # walked back until qubit 1 is home, which is all the way
+        ("one_qubit_gate_at_2", 1),  # walked back until qubit 2 is home, one pair short of home
+        ("one_qubit_gate_at_5", 2),  # outside the walk: the hub stays
         ("other_low_qubit", 0),
         ("capped_chain", 0),
         ("copy", 0),
     ],
 )
 def test_up_steps_restore_only_untouched_pairs(monkeypatch, between, restored):
-    # after a first gate on (0, 3), the second gate's up-steps on bonds 0 and 1 restore only what
-    # is still as the first's walk back left it, on a canonical chain. Every other step calls
-    # the kernel, as with no log
+    # after a first gate on (0, 3), a second on (0, 4) skips only the pairs whose back-steps are
+    # still pending when it runs, on a canonical chain. Every other step calls the kernel
     rng = np.random.default_rng(5)
     state = entangled_chain(POLICIES["default"], rng)
     if between == "capped_chain":
@@ -665,23 +678,124 @@ def test_up_steps_restore_only_untouched_pairs(monkeypatch, between, restored):
     if between.startswith("one_qubit_gate_at_"):
         gates.append(cir.unitary1(haar_unitary(2, rng), int(between[-1])))
     gates.append(haar_gate(rng, 1 if between == "other_low_qubit" else 0, 4))
-    for g in gates[:-1]:
-        mps.apply_gate(state, g)
+    ref_stats = mps.GateStats()
+    for g in gates:
         if g.arity == 1:
             mps.apply_gate(ref, g)
         else:
-            reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, mps.GateStats())
-    if between == "copy":
-        state = state.copy()
-        assert state._undo == {}
+            reference_apply_2q_routed(ref, g.full_matrix(), *g.targets, ref_stats)
     gesdd_calls = spy_gesdd(monkeypatch)
-    got_stats, ref_stats = mps.GateStats(), mps.GateStats()
-    mps.apply_gate(state, gates[-1], got_stats)
-    assert len(gesdd_calls) == got_stats.kernel_count == got_stats.svd_count - restored
-    reference_apply_2q_routed(ref, gates[-1].full_matrix(), *gates[-1].targets, ref_stats)
-    assert_stats_equal(got_stats, ref_stats)
-    assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
+    got_stats = mps.GateStats()
+    for g in gates:
+        if g is gates[-1] and between == "copy":
+            state = state.copy()
+            assert state._away is None
+        mps.apply_gate(state, g, got_stats)
+    assert_matches_steps(state, ref, got_stats, ref_stats, gesdd_calls, restored)
     assert state.canonical == (between != "capped_chain")
+
+
+@pytest.mark.parametrize("run", ["shor-15-4", "shor-15-7-chi2", "random-0", "random-7", "random-9"])
+def test_run_circuit_matches_gate_by_gate(run):
+    # the pending walk back of a gate is charged to the stats its gate was given, when it runs:
+    # gate by gate with one GateStats and then a reader, every field equals run_circuit's (with a
+    # reader after it too), and peak_elements is the largest element count after any gate
+    kind, *args = run.split("-")
+    if kind == "shor":
+        circ = cir.shor_order_circuit(int(args[0]), int(args[1]))
+        policy = mps.TruncationPolicy(chi_max=2) if args[2:] == ["chi2"] else mps.TruncationPolicy()
+    else:
+        circ, policy = random_circuit(8, 40, seed=int(args[0])), mps.TruncationPolicy()
+    state, by_gate = mps.init_state(circ.width, policy), mps.init_state(circ.width, policy)
+    got = mps.run_circuit(state, circ)
+    if kind == "random":
+        assert state._away is not None  # the last gate left its walk back pending
+    mps.state_norm(state)
+    want = mps.GateStats(peak_elements=by_gate.element_count())
+    for g in circ.gates:
+        mps.apply_gate(by_gate, g, want)
+        want.gate_count += 1
+        want.peak_elements = max(want.peak_elements, by_gate.element_count())
+    mps.state_norm(by_gate)
+    assert got == want
+    assert_states_close(state, by_gate, tol=0)
+
+
+def star_gates(seed, n=7):
+    """Six stars of three Haar gates that share their low qubit: each walks from where the last left it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        lo = int(rng.integers(n - 2))
+        for hi in rng.integers(lo + 1, n, size=3):
+            yield haar_gate(rng, lo, int(hi))
+
+
+DEFERRED_RUNS = {
+    # gates before a common tail, or "copy" / "reader" between them. The same low qubit 0 reaching
+    # nearer, farther or to its neighbour; a SWAP; a 1-qubit gate at the hub's qubit, inside its
+    # walk and outside it
+    "nearer": lambda rng: [haar_gate(rng, 0, 5), haar_gate(rng, 0, 3)],
+    "farther": lambda rng: [haar_gate(rng, 0, 3), haar_gate(rng, 0, 5)],
+    "adjacent": lambda rng: [haar_gate(rng, 0, 4), haar_gate(rng, 0, 1)],
+    "swap": lambda rng: [cir.swap(0, 4), haar_gate(rng, 0, 3)],
+    "one_qubit_at_hub": lambda rng: [haar_gate(rng, 0, 4), cir.unitary1(haar_unitary(2, rng), 0)],
+    "one_qubit_inside": lambda rng: [haar_gate(rng, 0, 4), cir.unitary1(haar_unitary(2, rng), 2)],
+    "one_qubit_outside": lambda rng: [haar_gate(rng, 0, 4), cir.unitary1(haar_unitary(2, rng), 5)],
+    "copy": lambda rng: [haar_gate(rng, 0, 4), "copy"],
+    "reader": lambda rng: [haar_gate(rng, 0, 4), "reader"],
+}
+
+
+def run_gates(state, gates, eager, stats):
+    """Apply gates, "copy" and "reader" steps in turn; eager walks every hub home after its gate."""
+    for g in gates:
+        if g == "copy":
+            state = state.copy()
+        elif g == "reader":
+            mps.bond_entropy(state, 2)
+        else:
+            mps.apply_gate(state, g, stats)
+        if eager:
+            mps._home(state)
+    mps._home(state)
+    return state
+
+
+@pytest.mark.parametrize("run", [*DEFERRED_RUNS, "capped-2-32", "capped-2-43", "capped-3-42", "capped-4-23"])
+def test_deferred_walk_matches_eager(monkeypatch, run):
+    # against walking every hub home at once: the same state and step and swap counts, no larger
+    # bond, fewer kernel calls. On the capped runs a back-step that the next gate runs cuts at
+    # chi_max: that gate walks the hub home and then up, as off a canonical chain a step may cut
+    # and a back-step and the up-step swapping it back are no longer identities (at 2-43 and 3-42
+    # going straight on would leave a state 0.27 and 0.0098 away)
+    fallbacks = []
+    real_home = mps._home
+
+    def home(state, to=0):
+        fallbacks.append(state._away is not None and not state.canonical)
+        real_home(state, to)
+
+    monkeypatch.setattr(mps, "_home", home)
+    if run.startswith("capped"):
+        _, chi_max, seed = run.split("-")
+        policy, gates = mps.TruncationPolicy(chi_max=int(chi_max)), list(star_gates(int(seed)))
+        start = mps.init_state(7, policy)
+    else:
+        rng = np.random.default_rng(list(DEFERRED_RUNS).index(run))
+        start = entangled_chain(POLICIES["default"], rng)
+        gates = [*DEFERRED_RUNS[run](rng), haar_gate(rng, 0, 5), haar_gate(rng, 0, 2)]
+    got_stats, eager_stats = mps.GateStats(), mps.GateStats()
+    eager = run_gates(start.copy(), gates, True, eager_stats)
+    got = run_gates(start, gates, False, got_stats)
+    assert np.abs(mps.to_statevector(got) - mps.to_statevector(eager)).max() <= TOL
+    assert (got_stats.svd_count, got_stats.swap_count) == (eager_stats.svd_count, eager_stats.swap_count)
+    assert got_stats.max_chi <= eager_stats.max_chi
+    if run in ("capped-2-43", "capped-3-42"):  # cut before any walk back could cancel: no saving
+        assert got_stats.kernel_count == eager_stats.kernel_count
+    else:
+        assert got_stats.kernel_count < eager_stats.kernel_count
+    assert any(fallbacks) == run.startswith("capped")
+    assert got.canonical == (not run.startswith("capped"))
 
 
 @pytest.mark.parametrize("seed", [15, 97, 154])
@@ -912,6 +1026,7 @@ def test_shor_circuit_matches_einsum_1q(n, a):
     mps.run_circuit(state, circ)
     for g in circ.gates:
         if g.arity == 1:
+            mps._home(ref)  # the reference writes the qubit's stored site
             reference_apply_1q(ref, g.full_matrix(), g.targets[0])
         else:
             mps.apply_gate(ref, g)
