@@ -42,6 +42,8 @@ class BenchRecord:
     kernel_count: int
     timestamp: str
     seed: int
+    #: gates elided on a classical control; a record stored before the count reads back 0
+    elided_count: int = 0
 
     def __post_init__(self):
         if self.status not in ("success", "timeout", "exhausted"):
@@ -82,6 +84,7 @@ def record_from_outcome(
         kernel_count=outcome.stats.kernel_count,
         timestamp=timestamp,
         seed=seed,
+        elided_count=outcome.stats.elided_count,
     )
 
 
@@ -96,7 +99,7 @@ def records_to_csv(records) -> str:
 
 def records_from_csv(text: str) -> list[BenchRecord]:
     return [
-        BenchRecord(**{f.name: _FROM_CSV[f.type](row[f.name]) for f in fields(BenchRecord)})
+        BenchRecord(**{f.name: _FROM_CSV[f.type](row[f.name]) for f in fields(BenchRecord) if f.name in row})
         for row in csv.DictReader(io.StringIO(text))
     ]
 

@@ -76,6 +76,10 @@ class Gate:
     targets: tuple[int, ...]
     angle: float | None = None
     matrix: np.ndarray | None = None
+    #: positions in `targets` of the qubits that act as controls, set at build: both of a CPHASE, the
+    #: first of a U2 whose matrix is exactly [[I, 0], [0, V]]. With a control in |0> the gate is the
+    #: identity, in |1> the 2x2 ``full_matrix()[2:, 2:]`` on the other target
+    controls: tuple[int, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KIND_ARITY:
@@ -85,6 +89,8 @@ class Gate:
             raise ValueError(f"angle mismatch for {self.kind}")
         if (self.matrix is not None) != (self.kind in _MATRIXED):
             raise ValueError(f"matrix mismatch for {self.kind}")
+        if self.kind == "CPHASE":
+            object.__setattr__(self, "controls", (0, 1))
         if self.matrix is not None:
             dim = 2 if self.kind == "U1" else 4
             m = np.array(self.matrix, dtype=complex)  # frozen below; never the caller's array
@@ -95,6 +101,10 @@ class Gate:
                 raise ValueError(f"matrix not unitary (deviation {dev:.2e})")
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
+            if dim == 4:
+                r = m.tolist()
+                if r[0] == [1, 0, 0, 0] and r[1] == [0, 1, 0, 0] and r[2][:2] == r[3][:2] == [0, 0]:
+                    object.__setattr__(self, "controls", (0,))
 
     def _check_targets(self, targets: tuple[int, ...]) -> None:
         if len(targets) != _KIND_ARITY[self.kind]:

@@ -68,6 +68,16 @@ never drops weight, where walking back at once could: 4 of 240 random
 8-qubit, 120-gate circuits at ``chi_max`` 2, 3, 4 and 64 ended in
 another state for that reason, all capped.
 
+Classical controls
+------------------
+Before routing, `apply_gate` reads the site of each of a gate's
+`Gate.controls`, wherever a pending walk put it. A ``(1, 2, 1)`` site
+with one amplitude at most ``discard_threshold`` times the other is
+classical: that amplitude is dropped, its weight counted as discarded
+and the site's norm kept, and the gate is the identity for |0> or its
+2x2 on the other target's site for |1>. It runs no step and calls no
+kernel, yet charges its routed steps and swaps, as below.
+
 Truncation bookkeeping
 ----------------------
 The few singular values of a step are read into a Python list once
@@ -75,14 +85,14 @@ The few singular values of a step are read into a Python list once
 tail past values ``<= discard_threshold`` and then caps the count at
 ``chi_max``; the discarded weight and the norm of the kept spectrum
 are sums of squares over that list. ``GateStats`` counts every step of
-a walk, closed-form and skipped ones included, every kernel call (a
-``gesvd`` fallback is a second), every swap, the largest kept bond and
-the largest discarded weight of one step; only ``_apply_2q_routed`` and
-`_walk` write them. A routed gate charges ``2 * (hi - lo - 1) + 1``
-steps and ``2 * (hi - lo - 1)`` routing swaps for targets ``lo < hi``,
-plus the gate's own swap for an explicit ``SWAP``. `_walk` charges the
-other three once per walk, when it runs, to its gate's stats (those in
-``_away`` for a pending walk back). If a step raises, the kernel calls
+a walk, closed-form, skipped and elided ones included, every kernel
+call (a ``gesvd`` fallback is a second), every swap, the elided gates,
+the largest kept bond and the largest discarded weight of one step or
+dropped amplitude. Each two-qubit gate, elided or not, charges
+`_routed_cost`, plus its own swap for an explicit ``SWAP``. `_walk`
+charges kernel calls, bonds and weights once per walk, when it runs,
+to its gate's stats (those in ``_away`` for a pending walk back), so
+an elided gate charges none. If a step raises, the kernel calls
 stay counted, and the gate's unfinished steps and its swaps do not.
 ``run_circuit`` counts the gates and the peak number of stored tensor
 entries after each gate, 2 for a ``(1, 2, 1)`` site whatever its
@@ -157,20 +167,15 @@ class GateStats:
     svd_count: int = 0
     swap_count: int = 0
     kernel_count: int = 0
+    elided_count: int = 0
     max_chi: int = 1
     max_discarded_weight: float = 0.0
     peak_elements: int = 0
 
     def merge(self, other: GateStats) -> None:
-        self.gate_count += other.gate_count
-        self.svd_count += other.svd_count
-        self.swap_count += other.swap_count
-        self.kernel_count += other.kernel_count
-        self.max_chi = max(self.max_chi, other.max_chi)
-        self.max_discarded_weight = max(
-            self.max_discarded_weight, other.max_discarded_weight
-        )
-        self.peak_elements = max(self.peak_elements, other.peak_elements)
+        for name, mine in vars(self).items():
+            theirs = getattr(other, name)
+            setattr(self, name, max(mine, theirs) if name.startswith(("max_", "peak_")) else mine + theirs)
 
 
 @dataclass
@@ -365,6 +370,11 @@ def _home(state: MpsState, to: int = 0):
         _walk(state, range(pos - 1, max(to, lo) - 1, -1), None, stats)
 
 
+def _routed_cost(q1: int, q2: int) -> tuple[int, int]:
+    """The steps and routing swaps a gate on qubits d apart charges, whether or not it walks: 2d-1, 2d-2."""
+    return 2 * abs(q1 - q2) - 1, 2 * abs(q1 - q2) - 2
+
+
 def _apply_2q_routed(state: MpsState, u4: np.ndarray | None, q1: int, q2: int, stats: GateStats):
     """Route (q1, q2) to adjacency with swaps, apply u4, and route back; u4=None is a SWAP.
 
@@ -381,14 +391,15 @@ def _apply_2q_routed(state: MpsState, u4: np.ndarray | None, q1: int, q2: int, s
         _home(state)  # another hub, or a back-step cut at chi_max: the up-steps must run
     start = state._away[1] if state._away else lo  # where qubit lo sits: the up-steps below never run
     state._away = None
+    steps, swaps = _routed_cost(lo, hi)
     stats.svd_count += hi - lo  # the walk up and the gate step
     _walk(state, range(start, hi), u4, stats)
-    stats.svd_count += top - lo  # the walk back
+    stats.svd_count += steps - (hi - lo)  # the walk back, once the walk up ran
     if state.canonical and top > lo:
         state._away = (lo, top, stats)
     else:
         _walk(state, range(top - 1, lo - 1, -1), None, stats)
-    stats.swap_count += 2 * (top - lo) + (u4 is None)
+    stats.swap_count += swaps + (u4 is None)
 
 
 def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
@@ -397,25 +408,39 @@ def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
     The one entry point for a gate (`apply_1q` and `apply_2q` wrap
     their matrix in a U1 or U2 gate). A target outside the chain raises
     ValueError before the state is touched; arity, distinct targets and
-    unitarity were checked when the gate was built.
+    unitarity were checked when the gate was built. A gate with a
+    classical control is elided (module docstring, Classical controls).
     """
     if max(gate.targets) >= state.n:
         raise ValueError(f"{gate.kind}{gate.targets} out of range for n={state.n}")
-    if gate.arity == 1:
-        q = gate.targets[0]
-        if state._away and state._away[0] <= q <= state._away[1]:
-            _home(state, q - 1)  # walk the hub back until qubit q is home
-        state.tensors[q] = gate.full_matrix() @ state.tensors[q]
-        return
-    q1, q2 = gate.targets
-    if gate.kind == "SWAP":
-        u4 = None
-    else:
-        u4 = gate.full_matrix()
-        if gate.kind == "CPHASE" and q1 > q2:
-            # symmetric in its two bits, so it needs no reindexing for reversed targets
-            q1, q2 = q2, q1
-    _apply_2q_routed(state, u4, q1, q2, GateStats() if stats is None else stats)
+    u, q = gate.full_matrix(), gate.targets[0]
+    if gate.arity == 2:
+        stats = GateStats() if stats is None else stats
+        lo, pos, _ = state._away or (-1, -1, None)  # a pending walk back has qubit lo at pos, lo+1..pos one lower
+        sites = [pos if t == lo else t - 1 if lo < t <= pos else t for t in gate.targets]
+        thr = state.policy.discard_threshold
+        for c in gate.controls:  # classical: a (1, 2, 1) site with one amplitude at most thr times the other
+            if (p := state.tensors[sites[c]]).shape == (1, 2, 1):
+                a0, a1 = map(abs, p.ravel().tolist())
+                if (bit := 0 if a1 <= thr * a0 else 1 if a0 <= thr * a1 else None) is not None:
+                    break
+        else:
+            # CPHASE is symmetric in its two bits, so it is applied in chain order, without reindexing
+            q1, q2 = sorted(gate.targets) if gate.kind == "CPHASE" else gate.targets
+            return _apply_2q_routed(state, None if gate.kind == "SWAP" else u, q1, q2, stats)
+        if w := min(a0, a1) ** 2 / (a0 * a0 + a1 * a1):  # the small amplitude is dropped, the norm kept
+            stats.max_discarded_weight = max(stats.max_discarded_weight, w)
+            state.tensors[sites[c]] = p * (np.arange(2) == bit)[:, None] / math.sqrt(1 - w)
+        steps, swaps = _routed_cost(*gate.targets)  # charged, though the walk never runs
+        stats.svd_count += steps
+        stats.swap_count += swaps
+        stats.elided_count += 1
+        if not bit:
+            return
+        u, q = u[2:, 2:], sites[1 - c]  # control |1>: the 2x2 on the other target's site
+    elif state._away and state._away[0] <= q <= state._away[1]:
+        _home(state, q - 1)  # walk the hub back until qubit q is home
+    state.tensors[q] = u @ state.tensors[q]
 
 
 def apply_1q(state: MpsState, u, q: int) -> MpsState:

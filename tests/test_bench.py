@@ -97,12 +97,25 @@ class TestRecordSerialization:
         columns = [
             "n_value", "bit_length", "mode", "a_used", "shots", "status",
             "circuit_build_seconds", "simulation_seconds", "postprocess_seconds",
-            "peak_chi", "swap_count", "kernel_count", "timestamp", "seed",
+            "peak_chi", "swap_count", "kernel_count", "timestamp", "seed", "elided_count",
         ]
         text = bench.records_to_csv(self._records())
         assert text.splitlines()[0] == ",".join(columns)
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert ", ".join(columns) in re.sub(r"\s+", " ", readme)
+
+    def test_record_without_elided_count(self):
+        # rows stored before records counted elided gates still read, with a count of 0
+        records = self._records()
+        assert records[0].mode == "preselected" and records[0].elided_count > 0
+        old = [dataclasses.replace(r, elided_count=0) for r in records]
+        lines = [line.rsplit(",", 1)[0] for line in bench.records_to_csv(records).splitlines()]
+        assert lines[0].endswith(",seed")
+        assert bench.records_from_csv("\n".join(lines) + "\n") == old
+        rows = [json.loads(line) for line in bench.records_to_jsonl(records).splitlines()]
+        for row in rows:
+            del row["elided_count"]
+        assert bench.records_from_jsonl("".join(json.dumps(row) + "\n" for row in rows)) == old
 
     def test_none_a_used_round_trips(self):
         records = [

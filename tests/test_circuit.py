@@ -81,6 +81,55 @@ class TestGate:
             assert np.allclose(g.dagger().full_matrix(), u.conj().T)
 
 
+class TestControls:
+    # the targets a gate acts on only through their |1> part, classified once when it is built
+    @staticmethod
+    def _controlled():
+        cv, _, cv_dagger = cir.toffoli_gates(0, 1, 2)[:3]
+        return {"cx": cir.cx(3, 1), "cv": cv, "cv_dagger": cv_dagger, "cphase": cir.cphase(0.7, 2, 0)}
+
+    def test_controlled_gates(self):
+        gates = self._controlled()
+        assert [g.controls for g in gates.values()] == [(0,), (0,), (0,), (0, 1)]
+        for g in gates.values():
+            # [[I, 0], [0, V]] on the first target; V, the 2x2 on the other target when that one is |1>
+            u = g.full_matrix()
+            assert np.array_equal(u[:2], np.eye(4)[:2]) and not u[2:, :2].any()
+        # CPHASE is symmetric in its two bits: with either target |1>, the other takes the phase
+        u = gates["cphase"].full_matrix()
+        assert np.array_equal(u[[0, 2, 1, 3]][:, [0, 2, 1, 3]], u)
+        assert cir.cx(0, 1).controls is cir.cx(5, 2).controls  # one shared tuple, no per-gate array
+
+    def test_uncontrolled_gates(self):
+        rng = np.random.default_rng(4)
+        x_mat = cir.x(0).full_matrix()
+        gates = [
+            cir.unitary2(haar_unitary(4, rng), 0, 1),
+            cir.swap(0, 1),
+            cir.h(0), cir.x(0), cir.phase(0.3, 0), cir.unitary1(haar_unitary(2, rng), 0),
+            # controlled by its second target, and block diagonal with no identity block
+            cir.unitary2(np.kron(np.eye(2), np.eye(2))[[0, 3, 2, 1]], 0, 1),
+            cir.unitary2(np.kron(np.diag([1, -1]), x_mat), 0, 1),
+        ]
+        assert [g.controls for g in gates] == [()] * len(gates)
+
+    def test_classification_is_kept(self):
+        # dagger and remapped gates, reordered circuits and a text round trip classify alike
+        gates = self._controlled()
+        for g in gates.values():
+            assert g.dagger().controls == g.controls
+            assert g.remapped({0: 4, 1: 5, 2: 6, 3: 7}).controls == g.controls
+        circ = cir.shor_order_circuit(15, 4)
+        want = [g.controls for g in circ.gates]
+        assert {(g.kind, g.controls) for g in circ.gates} >= {("U2", (0,)), ("CPHASE", (0, 1)), ("SWAP", ())}
+        assert [g.dagger().controls for g in circ.gates] == want
+        for ordering in cir.ORDERINGS:
+            moved = cir.reorder_registers(circ, ordering)
+            assert [g.controls for g in moved.gates] == want
+            back = cir.circuit_from_text(cir.circuit_to_text(moved))
+            assert [g.controls for g in back.gates] == want
+
+
 class TestQft:
     def test_single_qubit_is_hadamard(self):
         u = dense.circuit_unitary(cir.qft_circuit(1))

@@ -388,13 +388,17 @@ def test_swap_of_carried_product_sites_calls_no_kernel(monkeypatch, policy):
     assert_canonical(state, TOL)
 
 
-def spanned_gates(rng, basis, far=4):
-    """Six sites in Haar product states, qubits in `basis` in |1> instead; then a Haar gate on (1, far)."""
-    gates = [cir.x(q) if q in basis else cir.unitary1(haar_unitary(2, rng), q) for q in range(6)]
+#: H X, which takes |0> to |->
+_MINUS = cir.h(0).full_matrix() @ cir.x(0).full_matrix()
+
+
+def spanned_gates(rng, minus, far=4):
+    """Six sites in Haar product states, qubits in `minus` in |-> instead; then a Haar gate on (1, far)."""
+    gates = [cir.unitary1(_MINUS, q) if q in minus else cir.unitary1(haar_unitary(2, rng), q) for q in range(6)]
     return [*gates, cir.unitary2(haar_unitary(4, rng), 1, far)]
 
 
-def spanned_chain(policy, rng, basis, far=4):
+def spanned_chain(policy, rng, minus, far=4):
     """The chain `spanned_gates` prepares.
 
     The gate's walk leaves the unentangled qubits 2..far-1 stored as
@@ -402,7 +406,7 @@ def spanned_chain(policy, rng, basis, far=4):
     entangled pair (1, far).
     """
     state = mps.init_state(6, policy)
-    for g in spanned_gates(rng, basis, far):
+    for g in spanned_gates(rng, minus, far):
         mps.apply_gate(state, g)
     mps._home(state)
     assert all(t.shape == (1, 2, 1) for t in state.tensors[2:far])
@@ -410,17 +414,24 @@ def spanned_chain(policy, rng, basis, far=4):
     return state
 
 
+def x_basis_cphase(theta, minus, other):
+    """CPHASE(theta) with the control `minus` read in the X basis: a phase on `other` when it is |->."""
+    h = np.kron(cir.h(0).full_matrix(), np.eye(2)) if minus < other else np.kron(np.eye(2), cir.h(0).full_matrix())
+    return cir.unitary2(h @ cir.cphase(theta, 0, 1).full_matrix() @ h, min(minus, other), max(minus, other))
+
+
 GATE_STEP_PATHS = {
-    # |1> qubits, far end of the entangled pair, gates, kernel calls of the last gate, sites
+    # |-> qubits, far end of the entangled pair, gates, kernel calls of the last gate, sites
     # 2 and 3 stored as (1, 2, 1) after it. Path 1: two (1, 2, 1) sites. A product gate leaves them
     # unentangled, a Haar gate does not
     "two_flagged_product": (
         (), 4, lambda rng: [cir.unitary2(np.kron(haar_unitary(2, rng), haar_unitary(2, rng)), 2, 3)], 0, [2, 3]
     ),
     "two_flagged_entangling": ((), 4, lambda rng: [cir.unitary2(haar_unitary(4, rng), 2, 3)], 1, []),
-    # path 2: a CPHASE whose control is |1> leaves it unentangled, left or right of the entangled target
-    "left_unentangled": ((3,), 4, lambda rng: [cir.cphase(float(rng.uniform(0, 2 * np.pi)), 3, 4)], 1, [2, 3]),
-    "right_unentangled": ((2,), 4, lambda rng: [cir.cphase(float(rng.uniform(0, 2 * np.pi)), 1, 2)], 1, [2, 3]),
+    # path 2: a CPHASE read in the X basis of its control, which is |->: not a classical control,
+    # so the gate is routed, and it leaves that qubit unentangled, left or right of the entangled target
+    "left_unentangled": ((3,), 4, lambda rng: [x_basis_cphase(float(rng.uniform(0, 2 * np.pi)), 3, 4)], 1, [2, 3]),
+    "right_unentangled": ((2,), 4, lambda rng: [x_basis_cphase(float(rng.uniform(0, 2 * np.pi)), 2, 1)], 1, [2, 3]),
     # an ancilla computed into qubit 3 by a CX and uncomputed by a second: both sites unentangled
     # again, and the unitary between them moves into site 4, or past the (1, 2, 1) site 4 into site 5
     "both_unentangled": ((), 4, lambda rng: [cir.cx(2, 3), cir.cx(2, 3)], 1, [2, 3]),
@@ -435,8 +446,8 @@ def test_gate_step_paths_match_svd_steps(monkeypatch, case, policy):
     # leaves unentangled as its 2-vector (path 2) hold the SVD steps' state, spectra and counts,
     # and keep the chain canonical with every (1, 2, 1) shape exact
     rng = np.random.default_rng(list(GATE_STEP_PATHS).index(case))
-    basis, far, make_gates, kernel_calls, flagged = GATE_STEP_PATHS[case]
-    state = spanned_chain(POLICIES[policy], rng, basis, far)
+    minus, far, make_gates, kernel_calls, flagged = GATE_STEP_PATHS[case]
+    state = spanned_chain(POLICIES[policy], rng, minus, far)
     gesdd_calls = spy_gesdd(monkeypatch)
     for g in make_gates(rng):
         ref = state.copy()
@@ -499,8 +510,8 @@ def test_gate_step_paths_skipped_off_canonical_chains(monkeypatch, case):
     # without a canonical chain the stored vectors are not the spectra either path relies on:
     # the gate step is an SVD step, which stores a (1, 2, 1) site only between bonds of dimension 1
     rng = np.random.default_rng(list(GATE_STEP_PATHS).index(case))
-    basis, far, make_gates, _, _ = GATE_STEP_PATHS[case]
-    state = spanned_chain(POLICIES["default"], rng, basis, far)
+    minus, far, make_gates, _, _ = GATE_STEP_PATHS[case]
+    state = spanned_chain(POLICIES["default"], rng, minus, far)
     state.canonical = False
     ref = state.copy()
     gesdd_calls = spy_gesdd(monkeypatch)
@@ -796,6 +807,270 @@ def test_deferred_walk_matches_eager(monkeypatch, run):
         assert got_stats.kernel_count < eager_stats.kernel_count
     assert any(fallbacks) == run.startswith("capped")
     assert got.canonical == (not run.startswith("capped"))
+
+
+def tilt(eps):
+    """A rotation by the small angle eps: it takes |0> to cos(eps)|0> + sin(eps)|1>."""
+    c, s = np.cos(eps), np.sin(eps)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+_X = cir.x(0).full_matrix()
+_CV, _, _CV_DAGGER = (g.matrix for g in cir.toffoli_gates(0, 1, 2)[:3])
+
+
+def control_circuit(seed, n=7, depth=80):
+    """Controlled gates (CX, CV, CV^dagger, CPHASE) among qubits in basis, near-basis and superposed states.
+
+    Each qubit starts in |0>, |1>, a state 1e-13 off |0> or |1>, or a
+    Haar state. X gates and 1e-13 tilts keep controls classical, and a
+    few Haar 1- and 2-qubit gates superpose or entangle others.
+    """
+    rng = np.random.default_rng(seed)
+    gates = []
+    for q in range(n):
+        r = rng.random()
+        if r < 0.25:
+            gates.append(cir.x(q))
+        elif r < 0.5:
+            gates.append(cir.unitary1(tilt(1e-13) @ (_X if r < 0.375 else np.eye(2)), q))
+        elif r < 0.75:
+            gates.append(cir.unitary1(haar_unitary(2, rng), q))
+    for _ in range(depth):
+        a, b = (int(q) for q in rng.choice(n, 2, replace=False))
+        r = rng.random()
+        if r < 0.3:
+            gates.append(cir.cphase(float(rng.uniform(0, 2 * np.pi)), a, b))
+        elif r < 0.55:
+            gates.append(cir.cx(a, b))
+        elif r < 0.75:
+            gates.append(cir.unitary2(_CV if r < 0.65 else _CV_DAGGER, a, b))
+        elif r < 0.85:
+            gates.append(cir.x(a))
+        elif r < 0.92:
+            gates.append(cir.unitary1(tilt(1e-13), a))
+        elif r < 0.96:
+            gates.append(cir.unitary1(haar_unitary(2, rng), a))
+        else:
+            gates.append(haar_gate(rng, a, b))
+    return cir.Circuit(n, tuple(gates))
+
+
+def routed_cost(gates):
+    """The SVD steps and swaps the gates charge by formula, elided or not."""
+    dist = [abs(g.targets[0] - g.targets[1]) for g in gates if g.arity == 2]
+    return sum(2 * (d - 1) + 1 for d in dist), sum(2 * (d - 1) for d in dist) + sum(g.kind == "SWAP" for g in gates)
+
+
+@pytest.mark.parametrize("policy", ["default", "exact"])
+@pytest.mark.parametrize("seed", range(6))
+def test_elided_circuits_match_dense(policy, seed):
+    # a gate whose control is classical is elided, where the dense oracle applies every gate. Each
+    # dropped amplitude is at most 1e-13 of its qubit's state, so the states agree to 1e-11; the
+    # exact policy's threshold of 1e-14 finds the tilted controls superposed and routes their gates
+    circ = control_circuit(seed)
+    state = mps.init_state(circ.width, POLICIES[policy])
+    stats = mps.run_circuit(state, circ)
+    assert np.abs(mps.to_statevector(state) - dense.dense_run(circ).amplitudes).max() <= 1e-11
+    assert (stats.svd_count, stats.swap_count) == routed_cost(circ.gates)
+    assert 0 < stats.elided_count < sum(bool(g.controls) for g in circ.gates)
+    assert stats.max_discarded_weight <= (1e-13 if policy == "default" else 1e-14) ** 2 * 1.01
+    assert_site_shapes(state)
+
+
+def test_tilted_controls_elide_at_default_only():
+    # the same circuits: the default threshold of 1e-12 takes a 1e-13 tilt for classical, EXACT's does not
+    elided = {}
+    for policy in ("default", "exact"):
+        elided[policy] = [mps.run_circuit(mps.init_state(7, POLICIES[policy]), control_circuit(seed)).elided_count
+                          for seed in range(6)]
+    assert all(d >= e for d, e in zip(elided["default"], elided["exact"]))
+    assert sum(elided["default"]) > sum(elided["exact"])
+
+
+def pending_gates(rng, hub_bit):
+    """Qubits 1, 2, 3 in |0>, |0>, |1>, the pair (4, 5) entangled, then a gate on (0, 5) whose walk back is left pending.
+
+    The hub qubit 0 ends entangled with the pair, or, with `hub_bit`,
+    unentangled in |1> (the gate is X (x) W, W Haar).
+    """
+    gates = [cir.unitary1(haar_unitary(2, rng), 4), cir.unitary1(haar_unitary(2, rng), 5), cir.x(3), haar_gate(rng, 4, 5)]
+    if hub_bit:
+        return [*gates, cir.unitary2(np.kron(_X, haar_unitary(2, rng)), 0, 5)]
+    return [*gates, cir.unitary1(haar_unitary(2, rng), 0), haar_gate(rng, 0, 5)]
+
+
+ELISIONS = {
+    # hub in |1>, the gate: controls inside the pending span, where qubits 1..4 sit one site lower
+    "zero_in_span": (False, lambda rng: cir.cx(2, 5)),
+    "zero_second_target": (False, lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 5, 1)),
+    "zero_cv": (False, lambda rng: cir.unitary2(_CV, 1, 4)),
+    "one_target_outside": (False, lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 3, 5)),
+    "one_target_in_span": (False, lambda rng: cir.unitary2(_CV_DAGGER, 3, 4)),
+    "one_target_hub": (False, lambda rng: cir.cx(3, 0)),
+    # the hub itself as the control
+    "hub_control": (True, lambda rng: cir.cphase(float(rng.uniform(0, 2 * np.pi)), 0, 2)),
+    "hub_control_cx": (True, lambda rng: cir.cx(0, 4)),
+}
+
+
+@pytest.mark.parametrize("policy", ["default", "exact"])
+@pytest.mark.parametrize("case", list(ELISIONS))
+def test_elision_reads_controls_where_a_pending_walk_put_them(monkeypatch, case, policy):
+    # a classical control is found at the site a pending walk back left it on, the reduced gate acts
+    # on its target's site, and the walk stays pending: no kernel call, the formula's counts
+    rng = np.random.default_rng(list(ELISIONS).index(case))
+    hub_bit, make_gate = ELISIONS[case]
+    prep, g = pending_gates(rng, hub_bit), make_gate(rng)
+    state = mps.init_state(6, POLICIES[policy])
+    for h in prep:
+        mps.apply_gate(state, h)
+    away = state._away
+    assert away is not None and away[:2] == (0, 4)
+    if hub_bit:
+        assert state.tensors[4].shape == (1, 2, 1)  # the hub, unentangled, at its walk's top
+    gesdd_calls = spy_gesdd(monkeypatch)
+    stats = mps.GateStats()
+    mps.apply_gate(state, g, stats)
+    assert gesdd_calls == [] and state._away is away
+    d = abs(g.targets[0] - g.targets[1])
+    assert (stats.svd_count, stats.swap_count, stats.elided_count, stats.kernel_count) == (2 * d - 1, 2 * d - 2, 1, 0)
+    want = dense.dense_run(cir.Circuit(6, (*prep, g))).amplitudes
+    assert np.abs(mps.to_statevector(state) - want).max() <= TOL
+
+
+@pytest.mark.parametrize("pending", [False, True])
+def test_zero_control_leaves_state_bitwise(monkeypatch, pending):
+    # a control in |0>: the gate is the identity, and no array of the chain is touched
+    rng = np.random.default_rng(3)
+    state = mps.init_state(6)
+    for h in pending_gates(rng, False):
+        mps.apply_gate(state, h)
+    if not pending:
+        mps._home(state)
+    tensors, lambdas, away = list(state.tensors), list(state.lambdas), state._away
+    gesdd_calls = spy_gesdd(monkeypatch)
+    stats = mps.GateStats()
+    for g in (cir.cx(2, 5), cir.cphase(0.9, 5, 1), cir.unitary2(_CV_DAGGER, 1, 0), cir.cphase(0.4, 2, 1)):
+        mps.apply_gate(state, g, stats)
+    assert all(a is b for a, b in zip(state.tensors, tensors)) and all(a is b for a, b in zip(state.lambdas, lambdas))
+    assert state._away is away and gesdd_calls == []
+    assert (stats.elided_count, stats.kernel_count, stats.max_discarded_weight) == (4, 0, 0.0)
+
+
+@pytest.mark.parametrize("pending", [False, True])
+def test_one_control_is_the_reduced_gate(pending):
+    # a control in |1>: the same state as the 2x2 on the other target as a 1-qubit gate, bitwise
+    # without a pending walk. With one, the 1-qubit gate walks the hub home and the reduced gate does not
+    rng = np.random.default_rng(5)
+    theta = float(rng.uniform(0, 2 * np.pi))
+    pairs = [
+        (cir.cx(3, 5), cir.x(5)),
+        (cir.cphase(theta, 3, 0), cir.phase(theta, 0)),
+        (cir.cphase(theta, 5, 3), cir.phase(theta, 5)),
+        (cir.unitary2(_CV, 3, 4), cir.unitary1(_CV[2:, 2:], 4)),
+        (cir.unitary2(_CV_DAGGER, 3, 2), cir.unitary1(_CV_DAGGER[2:, 2:], 2)),
+    ]
+    for controlled, reduced in pairs:
+        state = mps.init_state(6)
+        for h in pending_gates(np.random.default_rng(5), False):
+            mps.apply_gate(state, h)
+        if not pending:
+            mps._home(state)
+        ref = mps.MpsState(list(state.tensors), list(state.lambdas), state.policy)
+        ref._away = state._away
+        stats = mps.GateStats()
+        mps.apply_gate(state, controlled, stats)
+        mps.apply_gate(ref, reduced)
+        assert stats.elided_count == 1
+        if pending:  # the two walks home may leave the sites in other gauges
+            assert np.abs(mps.to_statevector(state) - mps.to_statevector(ref)).max() <= TOL
+        else:
+            assert_states_close(state, ref, tol=0)
+
+
+@pytest.mark.parametrize("seed", [15, 97])
+def test_elision_off_a_canonical_chain(monkeypatch, seed):
+    # a (1, 2, 1) site stands for its qubit's state whatever the gauge, so a capped chain elides too
+    state = mps.init_state(7, mps.TruncationPolicy(chi_max=2))
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        a, b = (int(q) for q in rng.choice(4, 2, replace=False))
+        mps.apply_gate(state, haar_gate(rng, a, b))
+    mps.apply_gate(state, cir.x(5))
+    assert not state.canonical
+    assert state.tensors[4].shape == state.tensors[5].shape == (1, 2, 1)
+    gesdd_calls = spy_gesdd(monkeypatch)
+    for g in (cir.cx(5, 1), cir.cphase(0.3, 2, 4), cir.unitary2(_CV, 5, 0)):
+        before = mps.to_statevector(state)
+        stats = mps.GateStats()
+        mps.apply_gate(state, g, stats)
+        assert stats.elided_count == 1
+        want = dense.dense_run(cir.Circuit(7, (g,)), initial=before).amplitudes
+        assert np.abs(mps.to_statevector(state) - want).max() <= TOL
+    assert gesdd_calls == []
+
+
+def test_zero_threshold_elides_exact_zeros_only():
+    # control 2 is tilted 1e-13 off |0>, control 3 is exactly |1>: at discard_threshold=0 only the
+    # second gate is elided. At the default threshold both are, and the tilt's weight, sin^2(1e-13),
+    # is dropped and charged, the site left the unit basis state
+    rng = np.random.default_rng(6)
+    prep = [cir.unitary1(tilt(1e-13), 2), cir.x(3), cir.unitary1(haar_unitary(2, rng), 5), haar_gate(rng, 0, 5)]
+    gates = (cir.cx(2, 5), cir.cx(3, 5))
+    want = dense.dense_run(cir.Circuit(6, (*prep, *gates))).amplitudes
+    for threshold, elided in ((0.0, 1), (1e-12, 2)):
+        state = mps.init_state(6, mps.TruncationPolicy(discard_threshold=threshold))
+        for h in prep:
+            mps.apply_gate(state, h)
+        mps._home(state)
+        stats = mps.GateStats()
+        mps.apply_gate(state, gates[0], stats)
+        if threshold:
+            assert state.tensors[2].ravel().tolist() == [1.0, 0.0]
+            assert stats.max_discarded_weight == pytest.approx(np.sin(1e-13) ** 2, rel=1e-9)
+        else:
+            assert stats.max_discarded_weight == 0.0 and stats.kernel_count > 0
+        mps.apply_gate(state, gates[1], stats)
+        assert stats.elided_count == elided
+        assert np.abs(mps.to_statevector(state) - want).max() <= 1e-12
+
+
+def test_superposed_control_routes_as_before():
+    # a control that is not a basis state: apply_gate routes the gate exactly as the walk does
+    rng = np.random.default_rng(8)
+    state = mps.init_state(6)
+    for q in range(6):
+        mps.apply_gate(state, cir.unitary1(haar_unitary(2, rng), q))
+    mps.apply_gate(state, haar_gate(rng, 4, 5))
+    ref = state.copy()
+    for g in (cir.cx(1, 4), cir.cphase(0.8, 5, 2), cir.unitary2(_CV, 0, 3), cir.cphase(1.1, 3, 1)):
+        got_stats, ref_stats = mps.GateStats(), mps.GateStats()
+        mps.apply_gate(state, g, got_stats)
+        q1, q2 = sorted(g.targets) if g.kind == "CPHASE" else g.targets
+        mps._apply_2q_routed(ref, g.full_matrix(), q1, q2, ref_stats)
+        assert got_stats == ref_stats and got_stats.elided_count == 0
+        assert_states_close(state, ref, tol=0)
+
+
+@pytest.mark.parametrize("n, a", [(15, 4), (15, 7)])
+def test_elision_keeps_the_routed_counts(n, a):
+    # against the same gates with no target classified as a control, which are all routed: equal
+    # gate, step and swap counts (the static formula) and bonds, fewer kernel calls, the same state
+    circ = cir.shor_order_circuit(n, a)
+    state = mps.init_state(circ.width)
+    got = mps.run_circuit(state, circ)
+    plain = [g.remapped({t: t for t in g.targets}) for g in circ.gates]
+    for g in plain:
+        object.__setattr__(g, "controls", ())
+    routed = mps.init_state(circ.width)
+    want = mps.run_circuit(routed, cir.Circuit(circ.width, tuple(plain)))
+    assert (got.svd_count, got.swap_count) == (want.svd_count, want.swap_count) == routed_cost(circ.gates)
+    assert (got.gate_count, got.max_chi) == (want.gate_count, want.max_chi)
+    assert want.elided_count == 0 < got.elided_count
+    mps.state_norm(state), mps.state_norm(routed)
+    assert got.kernel_count < want.kernel_count
+    assert np.abs(mps.to_statevector(state) - mps.to_statevector(routed)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("seed", [15, 97, 154])

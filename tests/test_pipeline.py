@@ -296,6 +296,15 @@ class TestOutcomeSerialization:
         back = pl.outcome_from_json(json.dumps(record))
         assert back.stats == dataclasses.replace(out.stats, kernel_count=0)
 
+    def test_record_without_elided_count(self):
+        # records written before GateStats counted elided gates still read, with a count of 0
+        out = pl.factor(15, pl.RunConfig(seed=1))
+        assert out.stats.elided_count > 0
+        record = json.loads(pl.outcome_to_json(out))
+        del record["stats"]["elided_count"]
+        back = pl.outcome_from_json(json.dumps(record))
+        assert back.stats == dataclasses.replace(out.stats, elided_count=0)
+
     def test_round_trip_failure_record(self):
         out = pl.factor(21, pl.RunConfig(mode="random", seed=9, max_attempts=1))
         back = pl.outcome_from_json(pl.outcome_to_json(out))
