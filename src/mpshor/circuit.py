@@ -10,7 +10,9 @@ register of n qubits holding a^x mod N, and n+2 ancilla qubits (an
 (n+1)-bit accumulator operated on in the Fourier basis plus one
 comparison qubit), 4n+2 qubits in total. Controlled modular
 multiplication is compiled down to phase-gradient adders so that
-every emitted gate touches at most two qubits.
+every emitted gate touches at most two qubits. Its CX, CV and CV^dagger
+gates are constants checked once at import, placed by `Gate.remapped`
+so that they share one frozen matrix each.
 
 Serialization format (`circuit_to_text` / `circuit_from_text`), one
 record per line:
@@ -44,12 +46,8 @@ _UNITARY_TOL = 1e-12
 
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
-_SWAP_MAT = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-_CX_MAT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+_SWAP_MAT = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+_CX_MAT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 # V*V = X, used to split three-qubit gates into two-qubit ones
 _V_MAT = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 _CV_MAT = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), _V_MAT]])
@@ -138,16 +136,29 @@ class Gate:
         if self.kind in ("H", "X", "SWAP"):
             return self
         if self.kind in _ANGLED:
-            return Gate(self.kind, self.targets, angle=-self.angle)
+            return self._with(angle=-self.angle)
+        if (adjoint := _ADJOINTS.get(id(self.matrix))) is not None:
+            return adjoint._with(targets=self.targets)
         return Gate(self.kind, self.targets, matrix=self.matrix.conj().T)
 
     def remapped(self, perm: dict[int, int]) -> Gate:
         """The gate on relabelled targets; it shares the matrix checked and frozen at build."""
         targets = tuple(perm[t] for t in self.targets)
         self._check_targets(targets)
+        return self._with(targets=targets)
+
+    def _with(self, **changes) -> Gate:
+        """A copy with `changes`, built without checks: each must keep the gate as valid as this one."""
         gate = object.__new__(Gate)
-        gate.__dict__.update(vars(self), targets=targets)
+        gate.__dict__.update(vars(self), **changes)
         return gate
+
+
+#: CX, CV = [[I, 0], [0, V]] and their adjoints, checked once: the builders `remapped` them, sharing the matrix
+_CX, _CV = (Gate("U2", (0, 1), matrix=m) for m in (_CX_MAT, _CV_MAT))
+_CX_DAGGER, _CV_DAGGER = (Gate("U2", (0, 1), matrix=g.matrix.conj().T) for g in (_CX, _CV))
+#: a shared matrix's id -> the shared gate of its adjoint, which `Gate.dagger` places on its targets
+_ADJOINTS = {id(g.matrix): d for g, d in ((_CX, _CX_DAGGER), (_CX_DAGGER, _CX), (_CV, _CV_DAGGER), (_CV_DAGGER, _CV))}
 
 
 def h(q: int) -> Gate:
@@ -179,7 +190,7 @@ def unitary2(m, q0: int, q1: int) -> Gate:
 
 
 def cx(c: int, t: int) -> Gate:
-    return Gate("U2", (c, t), matrix=_CX_MAT)
+    return _CX.remapped({0: c, 1: t})
 
 
 def gates_close(a: Gate, b: Gate) -> bool:
@@ -313,8 +324,8 @@ def inverse_qft_circuit(n: int) -> Circuit:
 
 
 def toffoli_gates(c1: int, c2: int, t: int) -> list[Gate]:
-    cv = unitary2(_CV_MAT, c2, t)
-    return [cv, cx(c1, c2), cv.dagger(), cx(c1, c2), unitary2(_CV_MAT, c1, t)]
+    cv = _CV.remapped({0: c2, 1: t})
+    return [cv, cx(c1, c2), cv.dagger(), cx(c1, c2), _CV.remapped({0: c1, 1: t})]
 
 
 def cswap_gates(c: int, a: int, b: int) -> list[Gate]:
@@ -368,8 +379,11 @@ def phi_add_mod_gates(breg, cmp: int, k: int, modulus: int, c1: int, c2: int) ->
     is the identity (the unconditional subtract/re-add of the modulus
     cancels through the comparison qubit).
     """
-    qft_b = qft_gates(breg)
-    iqft_b = inverse_gates(qft_b)
+    return _phi_add_mod(breg, cmp, k, modulus, c1, c2, qft_gates(breg), inverse_gates(qft_gates(breg)))
+
+
+def _phi_add_mod(breg, cmp, k, modulus, c1, c2, qft_b, iqft_b) -> list[Gate]:
+    """`phi_add_mod_gates` with the accumulator's QFT and inverse QFT gates passed in, shared."""
     g: list[Gate] = []
     g += phi_add_gates(breg, k, (c1, c2))
     g += phi_add_gates(breg, modulus, (), sign=-1)
@@ -390,12 +404,13 @@ def phi_add_mod_gates(breg, cmp: int, k: int, modulus: int, c1: int, c2: int) ->
 def cmult_gates(control: int, xreg, breg, cmp: int, a: int, modulus: int) -> list[Gate]:
     """Controlled b += a*x (mod modulus), x read from xreg, high bit first."""
     n = len(xreg)
-    g = qft_gates(breg)
+    qft_b = qft_gates(breg)
+    iqft_b = inverse_gates(qft_b)
+    g = list(qft_b)
     for j in range(n):
         kj = (a << (n - 1 - j)) % modulus
-        g += phi_add_mod_gates(breg, cmp, kj, modulus, control, xreg[j])
-    g += inverse_gates(qft_gates(breg))
-    return g
+        g += _phi_add_mod(breg, cmp, kj, modulus, control, xreg[j], qft_b, iqft_b)
+    return g + iqft_b
 
 
 def controlled_modular_multiplier(a: int, modulus: int, control: int, layout: RegisterLayout) -> list[Gate]:

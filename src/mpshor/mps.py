@@ -96,8 +96,9 @@ an elided gate charges none. If a step raises, the kernel calls
 stay counted, and the gate's unfinished steps and its swaps do not.
 ``run_circuit`` counts the gates and the peak number of stored tensor
 entries after each gate, 2 for a ``(1, 2, 1)`` site whatever its
-bonds, which it tracks from the spans that a gate and the walk back it
-runs cross, the only tensors whose size the gate changes. A
+bonds. `_walk` keeps that number in ``MpsState._elements`` as it writes
+tensors: an SVD step adds 2 keep (chi_l + chi_r) less the two old
+sizes, a re-flag 2 less the old size; no other write changes a size. A
 step whose left bond has dimension 1 skips the multiply by that bond's
 Schmidt vector, which is exactly ``[1.0]``: ``init_state`` builds it
 so, closed-form steps write ``np.ones(1)`` where a bond shrinks to
@@ -188,6 +189,11 @@ class MpsState:
     canonical: bool = field(default=True, init=False)
     #: a routed gate's pending walk back, (lo, pos, its gate's stats): qubit lo sits at site pos
     _away: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: the stored entries, as `element_count` sums them; `_walk` keeps it as it writes tensors
+    _elements: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._elements = self.element_count()
 
     @property
     def n(self) -> int:
@@ -255,7 +261,7 @@ def _walk(state: MpsState, pairs: range, u4: np.ndarray | None, stats: GateStats
     chi_max, threshold = state.policy.chi_max, state.policy.discard_threshold
     gesdd, thr2, tol = _gesdd, threshold * threshold, threshold + 1e-12
     top = -1 if u4 is None else pairs[-1]  # the pair u4 acts on
-    done, kernels, max_keep, max_discarded = 0, 0, 0, 0.0
+    done, kernels, max_keep, max_discarded, grown = 0, 0, 0, 0.0, 0
     try:
         for q in pairs:
             bl, br, lam_q = tensors[q], tensors[q + 1], lambdas[q]
@@ -326,6 +332,7 @@ def _walk(state: MpsState, pairs: range, u4: np.ndarray | None, stats: GateStats
                     max_discarded = discarded
                 s, vh, sl = s[:keep], vh[:keep], sl[:keep]
             nrm = math.sqrt(math.fsum([x * x for x in sl]))
+            grown += 2 * keep * (chi_l + chi_r) - bl.size - br.size
             lambdas[q] = s / nrm
             tensors[q + 1] = vh.reshape(keep, 2, chi_r)
             left = c.dot(vh.T.conj())
@@ -350,12 +357,14 @@ def _walk(state: MpsState, pairs: range, u4: np.ndarray | None, stats: GateStats
                         tensors[u] = w.dot(tensors[u].reshape(chi, -1)).reshape(tensors[u].shape)
                     else:
                         tensors[q] = tensors[q].reshape(-1, chi).dot(w).reshape(chi_l, 2, chi)
+                    grown += 2 - tensors[t].size
                     tensors[t], lambdas[q] = p, lambdas[outer]
                     max_discarded = max(max_discarded, res)
     finally:
         # once per walk, even if a step raised: the gate charged every step, so take back the unfinished
         stats.svd_count -= len(pairs) - done
         stats.kernel_count += kernels
+        state._elements += grown
         if max_keep > stats.max_chi:
             stats.max_chi = max_keep
         if max_discarded > stats.max_discarded_weight:
@@ -413,7 +422,6 @@ def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
     """
     if max(gate.targets) >= state.n:
         raise ValueError(f"{gate.kind}{gate.targets} out of range for n={state.n}")
-    u, q = gate.full_matrix(), gate.targets[0]
     if gate.arity == 2:
         stats = GateStats() if stats is None else stats
         lo, pos, _ = state._away or (-1, -1, None)  # a pending walk back has qubit lo at pos, lo+1..pos one lower
@@ -427,7 +435,7 @@ def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
         else:
             # CPHASE is symmetric in its two bits, so it is applied in chain order, without reindexing
             q1, q2 = sorted(gate.targets) if gate.kind == "CPHASE" else gate.targets
-            return _apply_2q_routed(state, None if gate.kind == "SWAP" else u, q1, q2, stats)
+            return _apply_2q_routed(state, None if gate.kind == "SWAP" else gate.full_matrix(), q1, q2, stats)
         if w := min(a0, a1) ** 2 / (a0 * a0 + a1 * a1):  # the small amplitude is dropped, the norm kept
             stats.max_discarded_weight = max(stats.max_discarded_weight, w)
             state.tensors[sites[c]] = p * (np.arange(2) == bit)[:, None] / math.sqrt(1 - w)
@@ -437,9 +445,11 @@ def apply_gate(state: MpsState, gate: Gate, stats: GateStats | None = None):
         stats.elided_count += 1
         if not bit:
             return
-        u, q = u[2:, 2:], sites[1 - c]  # control |1>: the 2x2 on the other target's site
-    elif state._away and state._away[0] <= q <= state._away[1]:
-        _home(state, q - 1)  # walk the hub back until qubit q is home
+        u, q = gate.full_matrix()[2:, 2:], sites[1 - c]  # control |1>: the 2x2 on the other target's site
+    else:
+        u, q = gate.full_matrix(), gate.targets[0]
+        if state._away and state._away[0] <= q <= state._away[1]:
+            _home(state, q - 1)  # walk the hub back until qubit q is home
     state.tensors[q] = u @ state.tensors[q]
 
 
@@ -464,26 +474,15 @@ def run_circuit(state: MpsState, circ: Circuit, deadline: float | None = None) -
     """
     if circ.width != state.n:
         raise ValueError(f"circuit width {circ.width} != state size {state.n}")
-    tensors = state.tensors
-    elems = state.element_count()
-    stats = GateStats(peak_elements=elems)
+    stats = GateStats(peak_elements=state._elements)
     for g in circ.gates:
         if deadline is not None and time.monotonic() > deadline:
             raise SimulationTimeout(
                 f"deadline expired after {stats.gate_count} of {len(circ.gates)} gates", stats
             )
-        if not (away := state._away) and g.arity == 1:  # 1-qubit gates never change tensor shapes
-            apply_gate(state, g, stats)
-        else:
-            # a gate changes the sizes of only the tensors of the spans it and a walk back it runs cross
-            lo, hi = min(g.targets), max(g.targets) + 1
-            if away:
-                lo, hi = min(lo, away[0]), max(hi, away[1] + 1)
-            before = sum([t.size for t in tensors[lo:hi]])
-            apply_gate(state, g, stats)
-            elems += sum([t.size for t in tensors[lo:hi]]) - before
-            if elems > stats.peak_elements:
-                stats.peak_elements = elems
+        apply_gate(state, g, stats)
+        if state._elements > stats.peak_elements:
+            stats.peak_elements = state._elements
         stats.gate_count += 1
     return stats
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -293,6 +294,26 @@ class TestShorOrderCircuit:
         for g in circ.gates:
             u = g.full_matrix()
             assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n_mod, a, digest",
+        [(15, 4, "0a735babd2c32a2c"), (33, 10, "ca3e1a496457e2d6"), (21, 2, "59993bf3c806250c"),
+         (93, 32, "ae1e4bc39745401c")],
+    )
+    def test_builder_output_and_shared_matrices(self, n_mod, a, digest):
+        # the text of a built circuit is pinned byte for byte. Every CX, CV and CV^dagger (and the
+        # adjoints of the inverse multipliers) carries the one read-only matrix of its value, checked
+        # once, and stays classified as controlled by its first target
+        circ = cir.shor_order_circuit(n_mod, a)
+        assert hashlib.sha256(cir.circuit_to_text(circ).encode()).hexdigest().startswith(digest)
+        by_value: dict[bytes, set[int]] = {}
+        for g in circ.gates:
+            if g.kind == "U2":
+                assert not g.matrix.flags.writeable and g.controls == (0,)
+                by_value.setdefault(g.matrix.tobytes(), set()).add(id(g.matrix))
+        assert len(by_value) == 4  # CX, CV and their adjoints, which differ from them in signed zeros
+        assert all(len(ids) == 1 for ids in by_value.values())
+        assert {g.matrix.tobytes() for g in (cir.cx(2, 0), *cir.toffoli_gates(0, 1, 2))} <= set(by_value)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -309,6 +309,51 @@ class TestRunCircuit:
             stats = mps.run_circuit(mps.init_state(9, policy), cir.Circuit(9, tuple(gates[:k])))
             assert stats.peak_elements == max(walks[: k + 1])
 
+    @pytest.mark.parametrize("chi_max", [2, 64])
+    def test_stored_entry_count_after_every_gate(self, chi_max):
+        # run_circuit reads peak_elements off the count of stored entries that _walk keeps as it
+        # writes tensors. After every gate that count equals a sum over the chain: through gates
+        # elided on |0> and |1> controls, explicit SWAPs and a walk left pending at the end, and at
+        # chi_max=2, where the first cut clears canonical and so stops re-flagging
+        rng = np.random.default_rng(11)
+        gates = [cir.h(q) for q in (0, 2, 4, 6, 8)] + [cir.x(1)]
+        # elided on a |0> control twice, then on a |1> control twice
+        gates += [cir.cx(3, 7), cir.cphase(0.3, 5, 0), cir.cx(1, 8), cir.cphase(0.9, 1, 6)]
+        # a Bell pair on (2, 3), then a step that moves |+> onto site 3 by SVD: the site is re-flagged
+        gates += [cir.cx(2, 3), cir.unitary2(cir.swap(0, 1).full_matrix(), 3, 4)]
+        gates += [*cir.cswap_gates(0, 2, 8), cir.swap(4, 7), *cir.toffoli_gates(6, 2, 3), cir.swap(8, 1)]
+        gates += [cir.unitary2(haar_unitary(4, rng), 7, 2), *random_circuit(9, 12, seed=3).gates]
+        gates += [*cir.cswap_gates(5, 0, 4), cir.unitary2(haar_unitary(4, rng), 1, 7)]
+        policy = mps.TruncationPolicy(chi_max=chi_max)
+        ref = mps.init_state(9, policy)
+        walks = [ref.element_count()]
+        for g in gates:
+            mps.apply_gate(ref, g)
+            walks.append(ref.element_count())
+            assert ref._elements == walks[-1]
+        assert ref._away is not None if chi_max == 64 else not ref.canonical
+        assert len(set(walks)) > 3
+        for k in range(1, len(gates) + 1):
+            state = mps.init_state(9, policy)
+            stats = mps.run_circuit(state, cir.Circuit(9, tuple(gates[:k])))
+            assert stats.peak_elements == max(walks[: k + 1])
+            assert state._elements == state.element_count() == walks[k]
+        assert stats.elided_count >= 4
+        # the last gate run on a state that apply_gate left with a walk pending and copy() walked home
+        state = mps.init_state(9, policy)
+        for g in gates[:-1]:
+            mps.apply_gate(state, g)
+        assert state._away is not None or chi_max == 2
+        twin = state.copy()
+        ref = twin.copy()
+        want = [ref.element_count()]
+        mps.apply_gate(ref, gates[-1])
+        want.append(ref.element_count())
+        for s in (state, twin):
+            stats = mps.run_circuit(s, cir.Circuit(9, gates[-1:]))
+            assert stats.peak_elements == max(want)
+            assert s._elements == s.element_count() == want[-1]
+
 
 class TestAmplitude:
     def test_matches_dense_everywhere(self):
