@@ -42,8 +42,7 @@ class BenchRecord:
     kernel_count: int
     timestamp: str
     seed: int
-    #: gates elided on a classical control; a record stored before the count reads back 0
-    elided_count: int = 0
+    elided_count: int
 
     def __post_init__(self):
         if self.status not in ("success", "timeout", "exhausted"):
@@ -56,13 +55,6 @@ class BenchRecord:
 
 
 CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
-# CSV cell text -> field value, keyed by the field's annotation
-_FROM_CSV = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "int | None": lambda v: None if v == "" else int(v),
-}
 
 
 def record_from_outcome(
@@ -97,20 +89,9 @@ def records_to_csv(records) -> str:
     return buf.getvalue()
 
 
-def records_from_csv(text: str) -> list[BenchRecord]:
-    return [
-        BenchRecord(**{f.name: _FROM_CSV[f.type](row[f.name]) for f in fields(BenchRecord) if f.name in row})
-        for row in csv.DictReader(io.StringIO(text))
-    ]
-
-
 def records_to_jsonl(records) -> str:
     """One JSON line per dataclass record (sweep rows, entropy reports): its fields, keys sorted."""
     return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records)
-
-
-def records_from_jsonl(text: str) -> list[BenchRecord]:
-    return [BenchRecord(**json.loads(line)) for line in text.splitlines() if line.strip()]
 
 
 def bench_sweep(

@@ -12,26 +12,8 @@ comparison qubit), 4n+2 qubits in total. Controlled modular
 multiplication is compiled down to phase-gradient adders so that
 every emitted gate touches at most two qubits. Its CX, CV and CV^dagger
 gates are constants checked once at import, placed by `Gate.remapped`
-so that they share one frozen matrix each.
-
-Serialization format (`circuit_to_text` / `circuit_from_text`), one
-record per line:
-
-    width 18
-    layout 4 upper-lower-ancilla
-    measured 0 1 2 ...
-    checkpoint prep 9
-    H 0
-    X 11
-    PHASE 3 0.7853981633974483
-    CPHASE 0 4 1.5707963267948966
-    SWAP 2 5
-    U1 4 (0.707...+0j) ... (4 complex entries, row major)
-    U2 2 3 (1+0j) ... (16 complex entries, row major)
-
-The optional `layout` header gives n and the register ordering, from
-which `RegisterLayout` derives every register's qubits; its width must
-equal `width`.
+so that they share one frozen matrix each. A circuit exists only in
+memory: nothing writes it to a file or reads it back.
 """
 
 from __future__ import annotations
@@ -64,8 +46,6 @@ _KIND_ARITY = {
 }
 _ANGLED = {"PHASE", "CPHASE"}
 _MATRIXED = {"U1", "U2"}
-#: fields of each header record of the circuit text, its name included; "measured" takes any number
-_HEADER_FIELDS = {"width": 2, "layout": 3, "checkpoint": 3}
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,13 +171,6 @@ def unitary2(m, q0: int, q1: int) -> Gate:
 
 def cx(c: int, t: int) -> Gate:
     return _CX.remapped({0: c, 1: t})
-
-
-def gates_close(a: Gate, b: Gate) -> bool:
-    """Same kind, targets, angle and matrix entries."""
-    if (a.kind, a.targets, a.angle) != (b.kind, b.targets, b.angle):
-        return False
-    return a.matrix is None or np.array_equal(a.matrix, b.matrix)
 
 
 ORDERINGS = (
@@ -371,19 +344,15 @@ def phi_add_gates(breg, k: int, controls: tuple[int, ...] = (), sign: int = 1) -
     raise ValueError("at most two controls supported")
 
 
-def phi_add_mod_gates(breg, cmp: int, k: int, modulus: int, c1: int, c2: int) -> list[Gate]:
+def phi_add_mod_gates(breg, cmp: int, k: int, modulus: int, c1: int, c2: int, qft_b, iqft_b) -> list[Gate]:
     """Doubly-controlled b += k (mod modulus) on the Fourier-basis accumulator.
 
     Requires k < modulus and accumulator value < modulus < 2^(len(breg)-1);
     cmp must be |0> and returns to |0>. With both controls off the block
     is the identity (the unconditional subtract/re-add of the modulus
-    cancels through the comparison qubit).
+    cancels through the comparison qubit). qft_b and iqft_b are the
+    accumulator's QFT and inverse QFT gates, built once per multiplier.
     """
-    return _phi_add_mod(breg, cmp, k, modulus, c1, c2, qft_gates(breg), inverse_gates(qft_gates(breg)))
-
-
-def _phi_add_mod(breg, cmp, k, modulus, c1, c2, qft_b, iqft_b) -> list[Gate]:
-    """`phi_add_mod_gates` with the accumulator's QFT and inverse QFT gates passed in, shared."""
     g: list[Gate] = []
     g += phi_add_gates(breg, k, (c1, c2))
     g += phi_add_gates(breg, modulus, (), sign=-1)
@@ -409,7 +378,7 @@ def cmult_gates(control: int, xreg, breg, cmp: int, a: int, modulus: int) -> lis
     g = list(qft_b)
     for j in range(n):
         kj = (a << (n - 1 - j)) % modulus
-        g += _phi_add_mod(breg, cmp, kj, modulus, control, xreg[j], qft_b, iqft_b)
+        g += phi_add_mod_gates(breg, cmp, kj, modulus, control, xreg[j], qft_b, iqft_b)
     return g + iqft_b
 
 
@@ -488,74 +457,4 @@ def reorder_registers(circ: Circuit, ordering: str) -> Circuit:
         layout=new,
         measured=tuple(perm[q] for q in circ.measured),
         checkpoints=circ.checkpoints,
-    )
-
-
-def circuit_to_text(circ: Circuit) -> str:
-    lines = [f"width {circ.width}"]
-    if circ.layout is not None:
-        lines.append(f"layout {circ.layout.n} {circ.layout.ordering}")
-    if circ.measured:
-        lines.append("measured " + " ".join(str(q) for q in circ.measured))
-    for label, idx in circ.checkpoints:
-        lines.append(f"checkpoint {label} {idx}")
-    for g in circ.gates:
-        parts = [g.kind] + [str(t) for t in g.targets]
-        if g.angle is not None:
-            parts.append(repr(g.angle))
-        if g.matrix is not None:
-            parts += [repr(complex(v)).replace(" ", "") for v in g.matrix.ravel()]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> Circuit:
-    width = None
-    layout = None
-    measured: tuple[int, ...] = ()
-    checkpoints: list[tuple[str, int]] = []
-    gates: list[Gate] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        head = tokens[0]
-        if head in _KIND_ARITY:
-            entries = {"U1": 4, "U2": 16}.get(head, 0)
-            fields = 1 + _KIND_ARITY[head] + (head in _ANGLED) + entries
-        else:
-            fields = _HEADER_FIELDS.get(head, len(tokens))  # an unknown head is rejected below
-        if len(tokens) != fields:
-            raise ValueError(f"cannot parse line {line!r}")
-        if head == "width":
-            width = int(tokens[1])
-        elif head == "layout":
-            layout = RegisterLayout(int(tokens[1]), tokens[2])
-        elif head == "measured":
-            measured = tuple(int(v) for v in tokens[1:])
-        elif head == "checkpoint":
-            checkpoints.append((tokens[1], int(tokens[2])))
-        elif head in _KIND_ARITY:
-            k = _KIND_ARITY[head]
-            targets = tuple(int(v) for v in tokens[1 : 1 + k])
-            rest = tokens[1 + k :]
-            if head in _ANGLED:
-                gates.append(Gate(head, targets, angle=float(rest[0])))
-            elif head in _MATRIXED:
-                dim = 2 if head == "U1" else 4
-                vals = np.array([complex(v) for v in rest]).reshape(dim, dim)
-                gates.append(Gate(head, targets, matrix=vals))
-            else:
-                gates.append(Gate(head, targets))
-        else:
-            raise ValueError(f"cannot parse line {line!r}")
-    if width is None:
-        raise ValueError("missing width line")
-    return Circuit(
-        width=width,
-        gates=tuple(gates),
-        layout=layout,
-        measured=measured,
-        checkpoints=tuple(checkpoints),
     )

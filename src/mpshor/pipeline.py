@@ -8,11 +8,10 @@ factors from gcd(a^(r/2) +- 1, N). Bases are either sampled
 uniformly or pre-selected so the order is exactly 2, which makes the
 measurement two-valued and lets a handful of shots suffice.
 
-Outcome records serialize to JSON lines (`outcome_to_json` /
-`outcome_from_json`), one record per run. A record is the
-`dataclasses.asdict` of its `FactorizationOutcome`; only the keys of
-each attempt's measured histogram are written as strings, and the
-reader rebuilds every dataclass from its fields with `**`.
+Outcome records serialize to JSON lines (`outcome_to_json`), one
+record per run. A record is the `dataclasses.asdict` of its
+`FactorizationOutcome`; only the keys of each attempt's measured
+histogram are written as strings.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ class RunConfig:
             raise ValueError("shots must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.timeout_seconds <= 0:
+        if not self.timeout_seconds > 0:  # NaN too, which would never expire
             raise ValueError("timeout_seconds must be positive")
 
 
@@ -237,13 +236,3 @@ def outcome_to_json(outcome: FactorizationOutcome) -> str:
             att["measured"] = {str(k): v for k, v in att["measured"].items()}
     return json.dumps(d, sort_keys=True)
 
-
-def outcome_from_json(line: str) -> FactorizationOutcome:
-    d = json.loads(line)
-    for att in d["attempts"]:
-        if att["measured"] is not None:
-            att["measured"] = {int(k): v for k, v in att["measured"].items()}
-    d["attempts"] = [AttemptRecord(**att) for att in d["attempts"]]
-    d["factors"] = tuple(d["factors"]) if d["factors"] else None
-    d["stats"] = GateStats(**d["stats"])
-    return FactorizationOutcome(**d)

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -83,15 +85,46 @@ class TestRecordSerialization:
     def _records(self):
         return bench.bench_sweep([15], RunConfig(seed=3), modes=("preselected", "random"))
 
-    def test_csv_round_trip(self):
-        records = self._records()
-        back = bench.records_from_csv(bench.records_to_csv(records))
-        assert back == records
+    @staticmethod
+    def _hand_built():
+        return bench.BenchRecord(
+            n_value=15, bit_length=4, mode="random", a_used=None, shots=8, status="timeout",
+            circuit_build_seconds=0.25, simulation_seconds=1.5, postprocess_seconds=0.0, peak_chi=2,
+            swap_count=40, kernel_count=7, timestamp="2026-01-02T03:04:05+00:00", seed=3, elided_count=5,
+        )
 
-    def test_jsonl_round_trip(self):
+    def test_csv_text(self):
+        # the header is the field names in order; a missing a_used is an empty cell
+        assert bench.records_to_csv([self._hand_built()]) == (
+            "n_value,bit_length,mode,a_used,shots,status,circuit_build_seconds,simulation_seconds,"
+            "postprocess_seconds,peak_chi,swap_count,kernel_count,timestamp,seed,elided_count\n"
+            "15,4,random,,8,timeout,0.25,1.5,0.0,2,40,7,2026-01-02T03:04:05+00:00,3,5\n"
+        )
+
+    def test_jsonl_text(self):
+        # one line per record, keys sorted, a missing a_used written as null
+        assert bench.records_to_jsonl([self._hand_built()] * 2) == 2 * (
+            '{"a_used": null, "bit_length": 4, "circuit_build_seconds": 0.25, "elided_count": 5, '
+            '"kernel_count": 7, "mode": "random", "n_value": 15, "peak_chi": 2, "postprocess_seconds": 0.0, '
+            '"seed": 3, "shots": 8, "simulation_seconds": 1.5, "status": "timeout", "swap_count": 40, '
+            '"timestamp": "2026-01-02T03:04:05+00:00"}\n'
+        )
+
+    def test_csv_round_trip(self):
+        # a standard CSV reader gives back every field of every record as its text
         records = self._records()
-        back = bench.records_from_jsonl(bench.records_to_jsonl(records))
-        assert back == records
+        rows = list(csv.DictReader(io.StringIO(bench.records_to_csv(records))))
+        assert rows == [{c: str(v) for c, v in dataclasses.asdict(r).items()} for r in records]
+        assert [float(row["simulation_seconds"]) for row in rows] == [r.simulation_seconds for r in records]
+
+    def test_none_a_used_round_trips(self):
+        # a missing base reads back as an empty CSV cell and a JSON null
+        record = self._hand_built()
+        (row,) = csv.DictReader(io.StringIO(bench.records_to_csv([record])))
+        assert row["a_used"] == "" and row["n_value"] == "15"
+        (line,) = bench.records_to_jsonl([record]).splitlines()
+        assert json.loads(line) == dataclasses.asdict(record)
+        assert json.loads(line)["a_used"] is None
 
     def test_csv_has_trend_columns(self):
         columns = [
@@ -104,36 +137,13 @@ class TestRecordSerialization:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert ", ".join(columns) in re.sub(r"\s+", " ", readme)
 
-    def test_record_without_elided_count(self):
-        # rows stored before records counted elided gates still read, with a count of 0
-        records = self._records()
-        assert records[0].mode == "preselected" and records[0].elided_count > 0
-        old = [dataclasses.replace(r, elided_count=0) for r in records]
-        lines = [line.rsplit(",", 1)[0] for line in bench.records_to_csv(records).splitlines()]
-        assert lines[0].endswith(",seed")
-        assert bench.records_from_csv("\n".join(lines) + "\n") == old
-        rows = [json.loads(line) for line in bench.records_to_jsonl(records).splitlines()]
-        for row in rows:
-            del row["elided_count"]
-        assert bench.records_from_jsonl("".join(json.dumps(row) + "\n" for row in rows)) == old
-
-    def test_none_a_used_round_trips(self):
-        records = [
-            bench.BenchRecord(
-                n_value=15, bit_length=4, mode="random", a_used=None, shots=8,
-                status="timeout", circuit_build_seconds=0.0, simulation_seconds=0.0,
-                postprocess_seconds=0.0, peak_chi=1, swap_count=0, kernel_count=0, timestamp="", seed=0,
-            )
-        ]
-        assert bench.records_from_csv(bench.records_to_csv(records)) == records
-        assert bench.records_from_jsonl(bench.records_to_jsonl(records)) == records
-
     def test_bad_status_rejected(self):
         with pytest.raises(ValueError):
             bench.BenchRecord(
                 n_value=15, bit_length=4, mode="preselected", a_used=4, shots=8,
                 status="meh", circuit_build_seconds=0, simulation_seconds=0,
                 postprocess_seconds=0, peak_chi=1, swap_count=0, kernel_count=0, timestamp="", seed=0,
+                elided_count=0,
             )
 
 
@@ -282,14 +292,17 @@ class TestCli:
         assert code == 1
         assert "timeout" in capsys.readouterr().out
 
+    def test_factor_nan_timeout_usage_error(self):
+        # a NaN budget would compare false against every clock reading and never expire
+        assert cli.cli_main(["factor", "15", "--timeout-seconds", "nan"]) == 2
+
     def test_factor_jsonl_record(self, tmp_path):
         out = tmp_path / "run.jsonl"
         code = cli.cli_main(["factor", "15", "--output", "jsonl", "--out", str(out)])
         assert code == 0
-        from mpshor.pipeline import outcome_from_json
-
-        outcome = outcome_from_json(out.read_text())
-        assert outcome.factors == (3, 5)
+        (line,) = out.read_text().splitlines()
+        record = json.loads(line)
+        assert (record["status"], record["factors"]) == ("success", [3, 5])
 
     def test_preselect(self, capsys):
         assert cli.cli_main(["preselect", "9997"]) == 0
@@ -348,9 +361,9 @@ class TestCli:
             ["bench", "15", "21", "--seed", "4", "--out", str(out)]
         )
         assert code == 0
-        records = bench.records_from_csv(out.read_text())
-        assert [r.n_value for r in records] == [15, 21]
-        assert all(r.status == "success" for r in records)
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [row["n_value"] for row in rows] == ["15", "21"]
+        assert all(row["status"] == "success" for row in rows)
 
     def test_bench_bad_mode_usage_error(self, capsys):
         assert cli.cli_main(["bench", "15", "--modes", "preselected,bogus"]) == 2

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import hashlib
 import itertools
 import time
 import tracemalloc
@@ -29,6 +30,17 @@ def random_circuit(n, depth, seed, p_single=0.3):
             a, b = rng.choice(n, 2, replace=False)
             gates.append(cir.unitary2(haar_unitary(4, rng), int(a), int(b)))
     return cir.Circuit(n, tuple(gates))
+
+
+def circuit_digest(circ):
+    """SHA-256 hex digest of a circuit: width, layout, measured qubits and checkpoints, then each gate's
+    kind, targets, repr(angle) and matrix bytes (so signed zeros count)."""
+    digest = hashlib.sha256(repr((circ.width, circ.layout, circ.measured, circ.checkpoints)).encode())
+    for g in circ.gates:
+        digest.update(repr((g.kind, g.targets, g.angle)).encode())
+        if g.matrix is not None:
+            digest.update(g.matrix.tobytes())
+    return digest.hexdigest()
 
 
 def dft_matrix(n):
